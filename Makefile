@@ -18,7 +18,7 @@ COVER_FLOOR_STRESS     ?= 85.0
 # short randomized probe on top.
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet test race chaos build cover fuzz bench bench-gate stress stress-smoke
+.PHONY: check fmt vet test race chaos build cover fuzz bench bench-gate stress stress-smoke loc
 
 ## check: gofmt + vet + race coverage gate + chaos matrix + fuzz smoke +
 ## bench regression gate + overload stress smoke
@@ -114,3 +114,8 @@ build:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+## loc: production Go lines (tests excluded), the figure CHANGES.md
+## reports per change.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

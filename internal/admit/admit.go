@@ -19,10 +19,10 @@
 // wire layer carries back to the client (see shed.go), where it composes
 // with the internal/retry backoff policies.
 //
-// A nil *Controller admits everything for free, so servers thread admission
-// through their dispatch loops unconditionally and the default
-// configuration — no controller — is byte-identical to the historical,
-// unprotected behaviour.
+// A nil *Controller admits everything for free, so the serve loop every
+// service shares (serve.go) threads admission through each request
+// unconditionally and the default configuration — no controller — is
+// byte-identical to the historical, unprotected behaviour.
 package admit
 
 import (

@@ -5,12 +5,13 @@ import (
 	"io"
 	"time"
 
+	"griddles/internal/retry"
 	"griddles/internal/wire"
 )
 
 // MsgShed is the shared shed-response frame type. Every GriddLeS service
-// reserves 254 for it (255 is the per-service error frame), so one codec
-// serves all four wire protocols. The payload is:
+// reserves 254 for it (255 is MsgError), so one codec serves all six wire
+// protocols. The payload is:
 //
 //	i64    retry-after hint, milliseconds (>= 0)
 //	string reason ("queue-full", "queue-timeout", "conn-limit")
@@ -84,7 +85,38 @@ func DecodeShed(payload []byte) (*ShedError, error) {
 	return &ShedError{Reason: reason, After: after}, nil
 }
 
-// WriteShed writes err as a MsgShed frame on w, for server dispatch loops.
+// RemoteError is a failure a service answered with a MsgError frame: the
+// request reached a live server and the answer is final, so neither a retry
+// policy nor a walk over a shard's members should ask again.
+type RemoteError struct {
+	// Service is the client-side prefix of the message ("gns", "gridftp").
+	Service string
+	// Msg is the server's error text.
+	Msg string
+}
+
+// Error implements error.
+func (e *RemoteError) Error() string { return e.Service + ": " + e.Msg }
+
+// CheckStatus maps a reply's status frame to the error it carries, for
+// clients: a MsgShed frame becomes its *ShedError (a malformed one is an
+// error of its own), a MsgError frame becomes a retry.Permanent
+// *RemoteError prefixed with service, and any other frame is nil.
+func CheckStatus(service string, typ uint8, payload []byte) error {
+	switch typ {
+	case MsgShed:
+		shed, err := DecodeShed(payload)
+		if err != nil {
+			return err
+		}
+		return shed
+	case MsgError:
+		return retry.Permanent(&RemoteError{Service: service, Msg: wire.NewDecoder(payload).String()})
+	}
+	return nil
+}
+
+// WriteShed writes err as a MsgShed frame on w, for Serve.
 func WriteShed(w io.Writer, err *ShedError) error {
 	return wire.WriteFrame(w, MsgShed, EncodeShed(err))
 }

@@ -186,6 +186,36 @@ func TestRemoteMode(t *testing.T) {
 	})
 }
 
+// TestRemoteModeReadAllPastReadCap reads a mode-3 file with io.ReadAll.
+// Once its buffer passes ~38.5 MiB, ReadAll asks one Read for more than a
+// gridftp read request may carry (wire.MaxFrame/2); the handle must clamp
+// the request instead of failing the read.
+func TestRemoteModeReadAllPastReadCap(t *testing.T) {
+	e := newEnv()
+	want := make([]byte, 40<<20)
+	rand.New(rand.NewSource(2)).Read(want)
+	vfs.WriteFile(e.grid.Machine("brecca").RawFS(), "/data/huge", want)
+	e.store.Set("jagan", "huge", gns.Mapping{
+		Mode: gns.ModeRemote, RemoteHost: "brecca" + ftpPort, RemotePath: "/data/huge",
+	})
+	e.v.Run(func() {
+		e.startServices(t)
+		fm := e.fm(t, "jagan", nil)
+		r, err := fm.Open("huge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		got, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatalf("ReadAll: %v after %d bytes", err, len(got))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ReadAll returned %d bytes, not the file's %d", len(got), len(want))
+		}
+	})
+}
+
 func TestRemoteWriteMode(t *testing.T) {
 	e := newEnv()
 	e.store.Set("jagan", "out", gns.Mapping{

@@ -2,7 +2,6 @@ package gns
 
 import (
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -11,51 +10,6 @@ import (
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 )
-
-// tempAcceptErr mimics an EMFILE-style transient accept failure.
-type tempAcceptErr struct{}
-
-func (tempAcceptErr) Error() string   { return "accept: resource temporarily unavailable" }
-func (tempAcceptErr) Temporary() bool { return true }
-
-// flakyListener fails its first `fails` Accepts with a temporary error.
-type flakyListener struct {
-	net.Listener
-	fails int
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails > 0 {
-		l.fails--
-		return nil, tempAcceptErr{}
-	}
-	return l.Listener.Accept()
-}
-
-func TestServeSurvivesFlakyAccept(t *testing.T) {
-	v := simclock.NewVirtualDefault()
-	n := simnet.New(v)
-	n.SetLinkBoth("app", "gns", simnet.LinkSpec{Latency: time.Millisecond})
-	v.Run(func() {
-		store := NewStore(v)
-		srv := NewServer(store, v)
-		l, err := n.Host("gns").Listen("gns:5000")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		v.Go("gns-serve", func() { srv.Serve(&flakyListener{Listener: l, fails: 3}) })
-		store.Set("jagan", "A", Mapping{Mode: ModeRemote, RemoteHost: "h:1", RemotePath: "/a"})
-		c := NewClient(n.Host("app"), "gns:5000", v)
-		defer c.Close()
-		m, err := c.Resolve("jagan", "A")
-		if err != nil {
-			t.Fatalf("resolve through flaky listener: %v", err)
-		}
-		if m.RemotePath != "/a" {
-			t.Fatalf("resolve = %+v", m)
-		}
-	})
-}
 
 func TestResolveShedThenRetrySucceeds(t *testing.T) {
 	v := simclock.NewVirtualDefault()

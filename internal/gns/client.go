@@ -2,6 +2,7 @@ package gns
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -19,13 +20,6 @@ import (
 type Dialer interface {
 	Dial(addr string) (net.Conn, error)
 }
-
-// serverError marks an error the server answered with (msgError): the
-// request reached a live server and the answer is final, so neither the
-// retry policy nor a sharded member walk should re-ask elsewhere.
-type serverError struct{ msg string }
-
-func (e *serverError) Error() string { return e.msg }
 
 // Client is the GNS client used by the File Multiplexer. It keeps one
 // persistent connection for request/response calls; Watch calls, which can
@@ -145,18 +139,13 @@ func (c *Client) tripOnce(reqType uint8, payload []byte) (uint8, []byte, error) 
 	if c.retry.Enabled() || c.callTimeout > 0 {
 		c.conn.SetDeadline(time.Time{})
 	}
-	if typ == admit.MsgShed {
-		// Overload shed: the connection stays good; the retry policy waits
-		// out the server's hint and re-asks.
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
+	// An overload shed leaves the connection good: the retry policy waits
+	// out the server's hint and re-asks. A garbled one drops it.
+	if err := admit.CheckStatus("gns", typ, resp); err != nil {
+		if typ == admit.MsgShed && !errors.As(err, new(*admit.ShedError)) {
 			c.dropConnLocked()
-			return 0, nil, err
 		}
-		return 0, nil, shed
-	}
-	if typ == msgError {
-		return 0, nil, retry.Permanent(&serverError{msg: "gns: " + wire.NewDecoder(resp).String()})
+		return 0, nil, err
 	}
 	if typ == msgRedirect {
 		// Not the leaseholder: surface who is (sharded writes re-route;
@@ -492,15 +481,8 @@ func (c *Client) watchOnce(addr, machine, path string, since uint64, timeoutMS i
 	if err != nil {
 		return Mapping{}, false, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return Mapping{}, false, err
-		}
-		return Mapping{}, false, shed
-	}
-	if typ == msgError {
-		return Mapping{}, false, retry.Permanent(&serverError{msg: "gns: " + wire.NewDecoder(resp).String()})
+	if err := admit.CheckStatus("gns", typ, resp); err != nil {
+		return Mapping{}, false, err
 	}
 	if typ == msgWrongShard {
 		epoch, owner, derr := decodeWrongShard(resp)

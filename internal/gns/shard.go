@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"griddles/internal/obs"
+	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
 
@@ -84,8 +85,11 @@ type shardRun struct {
 	fenced bool // last fence state the loop observed (edge-triggered metrics)
 
 	// repMu serializes the leader's replication fan-out so appends reach
-	// each replica in version order.
-	repMu sync.Mutex
+	// each replica in version order. It is held across round trips, so it
+	// must park its waiters on the clock: a goroutine blocked on a plain
+	// mutex looks runnable to the virtual clock, which then never reaches
+	// the deadline of the round trip holding the lock.
+	repMu *simclock.Mutex
 }
 
 // EnableShard turns the server into one member of a sharded deployment.
@@ -128,6 +132,7 @@ func (s *Server) EnableShard(cfg ShardConfig) error {
 		leader:   info.Addrs[0],
 		lastBeat: now,
 		ackAt:    make(map[string]time.Time, len(info.Addrs)-1),
+		repMu:    simclock.NewMutex(s.clock),
 	}
 	for _, a := range info.Addrs {
 		if a != cfg.Self {

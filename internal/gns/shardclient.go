@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"griddles/internal/admit"
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
 )
@@ -173,7 +174,7 @@ func (c *Client) readWalk(machine, path string, do func(mc *Client) error) error
 				c.noteMisroute(ws)
 				return err
 			}
-			var srvErr *serverError
+			var srvErr *admit.RemoteError
 			if errors.As(err, &srvErr) {
 				return retry.Permanent(err)
 			}
@@ -218,7 +219,7 @@ func (c *Client) shardWrite(machine, path string, do func(mc *Client) error) err
 					continue
 				}
 			} else {
-				var srvErr *serverError
+				var srvErr *admit.RemoteError
 				if errors.As(err, &srvErr) {
 					return retry.Permanent(err)
 				}
@@ -304,7 +305,7 @@ func (c *Client) shardWatchOnce(machine, path string, since uint64, timeoutMS in
 			c.noteMisroute(ws)
 			return Mapping{}, false, lastErr
 		}
-		var srvErr *serverError
+		var srvErr *admit.RemoteError
 		if errors.As(lastErr, &srvErr) {
 			return Mapping{}, false, retry.Permanent(lastErr)
 		}
@@ -335,7 +336,7 @@ func (c *Client) shardList() ([]Entry, error) {
 				if err == nil {
 					return nil
 				}
-				var srvErr *serverError
+				var srvErr *admit.RemoteError
 				if errors.As(err, &srvErr) {
 					return retry.Permanent(err)
 				}

@@ -2,7 +2,6 @@ package gridbuffer
 
 import (
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -10,47 +9,6 @@ import (
 	"griddles/internal/retry"
 	"griddles/internal/simnet"
 )
-
-// tempAcceptErr mimics an EMFILE-style transient accept failure.
-type tempAcceptErr struct{}
-
-func (tempAcceptErr) Error() string   { return "accept: resource temporarily unavailable" }
-func (tempAcceptErr) Temporary() bool { return true }
-
-// flakyListener fails its first `fails` Accepts with a temporary error.
-type flakyListener struct {
-	net.Listener
-	fails int
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails > 0 {
-		l.fails--
-		return nil, tempAcceptErr{}
-	}
-	return l.Listener.Accept()
-}
-
-func TestServeSurvivesFlakyAccept(t *testing.T) {
-	b := newBrig(simnet.LinkSpec{Latency: time.Millisecond})
-	b.v.Run(func() {
-		l, err := b.net.Host("buf").Listen(b.addr)
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		b.v.Go("gb-serve", func() { NewServer(b.reg, b.v).Serve(&flakyListener{Listener: l, fails: 3}) })
-		w, err := NewWriter(b.net.Host("w"), b.addr, b.v, "k", Options{}, WriterOptions{})
-		if err != nil {
-			t.Fatalf("writer through flaky listener: %v", err)
-		}
-		if _, err := w.Write([]byte("hello")); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-	})
-}
 
 func TestAttachShedThenRetrySucceeds(t *testing.T) {
 	b := newBrig(simnet.LinkSpec{Latency: time.Millisecond})

@@ -63,7 +63,7 @@ type Writer struct {
 	// codecName is the codec proposed at every attach; cs is the state the
 	// current connection actually negotiated.
 	codecName string
-	cs        *codecState
+	cs        *wire.CodecBuf
 
 	window  *simclock.Semaphore
 	winSize int64
@@ -146,19 +146,11 @@ func attach(dialer Dialer, addr string, key string, role uint8, opts Options, pr
 		conn.Close()
 		return nil, nil, nil, 0, 0, "", err
 	}
-	if typ == admit.MsgShed {
-		// Stream-setup shed: the service is at its stream limit. The
-		// attach-level retry policy waits out the hint and redials.
+	// A stream-setup shed means the service is at its stream limit: the
+	// attach-level retry policy waits out the hint and redials.
+	if err := admit.CheckStatus("gridbuffer", typ, resp); err != nil {
 		conn.Close()
-		shed, derr := admit.DecodeShed(resp)
-		if derr != nil {
-			return nil, nil, nil, 0, 0, "", derr
-		}
-		return nil, nil, nil, 0, 0, "", shed
-	}
-	if typ == msgError {
-		conn.Close()
-		return nil, nil, nil, 0, 0, "", retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(resp).String()))
+		return nil, nil, nil, 0, 0, "", err
 	}
 	d := wire.NewDecoder(resp)
 	readerID := int(d.I64())
@@ -181,12 +173,12 @@ func attach(dialer Dialer, addr string, key string, role uint8, opts Options, pr
 
 // newCodecState turns the server's negotiated codec name into a
 // connection's codec state (inactive for ""/"raw").
-func newCodecState(chosen string) (*codecState, error) {
+func newCodecState(chosen string) (*wire.CodecBuf, error) {
 	codec, err := wire.ForName(chosen)
 	if err != nil {
 		return nil, retry.Permanent(fmt.Errorf("gridbuffer: server chose %w", err))
 	}
-	return &codecState{codec: codec}, nil
+	return &wire.CodecBuf{Codec: codec}, nil
 }
 
 // NewWriter attaches to (or creates) the buffer key on the service at addr
@@ -292,17 +284,7 @@ func (w *Writer) oneCall(reqType uint8, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if typ == admit.MsgShed {
-		shed, derr := admit.DecodeShed(resp)
-		if derr != nil {
-			return derr
-		}
-		return shed
-	}
-	if typ == msgError {
-		return retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(resp).String()))
-	}
-	return nil
+	return admit.CheckStatus("gridbuffer", typ, resp)
 }
 
 // ackLoop consumes Put acknowledgements, releasing window permits. One loop
@@ -757,7 +739,7 @@ type Reader struct {
 	broken    bool
 
 	codecName string
-	cs        *codecState
+	cs        *wire.CodecBuf
 	frameBuf  []byte
 
 	inflight []int64 // block indices with pending responses, in order
@@ -900,7 +882,7 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 		if err := d.Err(); err != nil {
 			return idx, nil, false, err
 		}
-		block, derr := r.cs.dec(raw)
+		block, derr := r.cs.Dec(raw)
 		if derr != nil {
 			return idx, nil, false, retry.Permanent(derr)
 		}
@@ -910,7 +892,7 @@ func (r *Reader) recvOne() (idx int64, data []byte, eof bool, err error) {
 		}
 		return idx, data, eof, nil
 	case msgError:
-		return idx, nil, false, retry.Permanent(errors.New("gridbuffer: " + wire.NewDecoder(payload).String()))
+		return idx, nil, false, admit.CheckStatus("gridbuffer", typ, payload)
 	default:
 		return idx, nil, false, retry.Permanent(fmt.Errorf("gridbuffer: unexpected reader frame %d", typ))
 	}

@@ -18,45 +18,14 @@ import (
 // Connection-per-call mode (the paper's 2004 SOAP discipline) never
 // negotiates: its data connections skip the Attach exchange entirely.
 
-// codecState is one connection's negotiated block codec plus reusable
-// transform buffers, so a steady stream allocates nothing per block.
-type codecState struct {
-	codec  wire.Codec
-	encBuf []byte
-	decBuf []byte
-}
-
-func (cs *codecState) active() bool { return cs != nil && cs.codec != nil }
-
-// enc compresses one block payload; the result aliases an internal buffer
-// valid until the next enc. Raw state passes data through untouched.
-func (cs *codecState) enc(data []byte) []byte {
-	if !cs.active() {
-		return data
-	}
-	cs.encBuf = cs.codec.Encode(cs.encBuf[:0], data)
-	return cs.encBuf
-}
-
-// dec reverses enc; the result aliases an internal buffer valid until the
-// next dec.
-func (cs *codecState) dec(data []byte) ([]byte, error) {
-	if !cs.active() {
-		return data, nil
-	}
-	var err error
-	cs.decBuf, err = cs.codec.Decode(cs.decBuf[:0], data)
-	return cs.decBuf, err
-}
-
 // writePutFrame writes blocks as the smallest frame carrying them — the
 // historical one-block PUT (byte-identical to the pre-batch protocol) or a
 // PUT-BATCH — using vectored IO, so block payloads travel straight from the
 // pending list (or the compression arena) to the socket without being
 // assembled into an intermediate buffer first.
-func writePutFrame(w io.Writer, key string, blocks []wblock, cs *codecState) error {
+func writePutFrame(w io.Writer, key string, blocks []wblock, cs *wire.CodecBuf) error {
 	if len(blocks) == 1 {
-		data := cs.enc(blocks[0].data)
+		data := cs.Enc(blocks[0].data)
 		hdr := wire.NewEncoder().String(key).I64(blocks[0].idx).U32(uint32(len(data)))
 		return wire.WriteFrameV(w, msgPut, hdr.Bytes(), data)
 	}
@@ -67,15 +36,15 @@ func writePutFrame(w io.Writer, key string, blocks []wblock, cs *codecState) err
 		raw  []byte // original payload (raw state)
 	}
 	spans := make([]span, len(blocks))
-	arena := cs.arena()
+	arena := cs.Arena()
 	hdrs := wire.NewEncoder()
 	hdrs.String(key).U32(uint32(len(blocks)))
 	marks := make([]int, len(blocks))
 	for i, blk := range blocks {
 		n := len(blk.data)
-		if cs.active() {
+		if cs.Active() {
 			a := len(arena)
-			arena = cs.codec.Encode(arena, blk.data)
+			arena = cs.Codec.Encode(arena, blk.data)
 			spans[i] = span{a: a, b: len(arena)}
 			n = len(arena) - a
 		} else {
@@ -84,7 +53,7 @@ func writePutFrame(w io.Writer, key string, blocks []wblock, cs *codecState) err
 		hdrs.I64(blk.idx).U32(uint32(n))
 		marks[i] = len(hdrs.Bytes())
 	}
-	cs.keepArena(arena)
+	cs.KeepArena(arena)
 	hb := hdrs.Bytes()
 	parts := make([][]byte, 0, 2*len(blocks))
 	prev := 0
@@ -98,19 +67,4 @@ func writePutFrame(w io.Writer, key string, blocks []wblock, cs *codecState) err
 		}
 	}
 	return wire.WriteFrameV(w, msgPutBatch, parts...)
-}
-
-// arena hands out the batch compression buffer (nil state compresses
-// nothing and gets nil).
-func (cs *codecState) arena() []byte {
-	if cs == nil {
-		return nil
-	}
-	return cs.encBuf[:0]
-}
-
-func (cs *codecState) keepArena(b []byte) {
-	if cs != nil {
-		cs.encBuf = b
-	}
 }

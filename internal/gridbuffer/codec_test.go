@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"griddles/internal/admit"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
@@ -171,14 +172,14 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 					data := d.Bytes32()
 					b, _ := reg.Lookup(key)
 					if err := b.Put(idx, data); err != nil {
-						writeError(bw, err)
+						admit.WriteError(bw, err)
 					} else {
 						wire.WriteFrame(bw, msgPutResp, nil)
 					}
 				case msgGetWin:
 					req, derr := decodeGetWin(d)
 					if derr != nil {
-						writeError(bw, derr)
+						admit.WriteError(bw, derr)
 						break
 					}
 					b, _ := reg.Lookup(req.key)
@@ -189,7 +190,7 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 						idx := req.first + int64(i)
 						data, eof, gerr := b.GetKeep(req.readerID, idx)
 						if gerr != nil {
-							writeError(bw, gerr)
+							admit.WriteError(bw, gerr)
 							break
 						}
 						e := wire.NewEncoder()
@@ -203,14 +204,14 @@ func serveOldAttach(clock simclock.Clock, reg *Registry, l net.Listener) {
 					total := d.I64()
 					b, _ := reg.Lookup(key)
 					if err := b.CloseWrite(total); err != nil {
-						writeError(bw, err)
+						admit.WriteError(bw, err)
 					} else {
 						wire.WriteFrame(bw, msgCloseWriteResp, nil)
 					}
 				case msgDetach:
 					wire.WriteFrame(bw, msgDetachResp, nil)
 				default:
-					writeError(bw, errUnknownOldType)
+					admit.WriteError(bw, errUnknownOldType)
 				}
 				if bw.Flush() != nil {
 					return
@@ -260,7 +261,7 @@ func TestCodecOldServerStaysRaw(t *testing.T) {
 		if err != nil {
 			t.Fatalf("writer attach against old server: %v", err)
 		}
-		if w.cs.active() {
+		if w.cs.Active() {
 			t.Fatal("writer negotiated a codec against a pre-codec server")
 		}
 		if _, err := w.Write(want); err != nil {

@@ -2,7 +2,6 @@ package gridbuffer
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -178,82 +177,25 @@ func (s *Server) SetAdmission(c *admit.Controller) { s.adm = c }
 // supports; raw is always available regardless.
 func (s *Server) SetCodecs(names []string) { s.codecs = names }
 
-// Serve accepts connections until l is closed. Temporary accept failures
-// are ridden out with backoff instead of killing the server.
+// admission maps a request type to how the shared loop admits it: a
+// connection's first Attach takes the stream's Bulk slot, and nothing else
+// is admitted.
+func admission(typ uint8) admit.Admission {
+	if typ == msgAttach {
+		return admit.Admission{Class: admit.Bulk, Scope: admit.PerConn}
+	}
+	return admit.Admission{Scope: admit.Unadmitted}
+}
+
+// Serve accepts connections until l is closed, through the shared
+// admit.Serve loop.
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
-		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("gridbuffer-conn", func() {
-			defer crel()
-			s.handle(conn)
-		})
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	// admitted is the stream slot taken by this connection's first Attach,
-	// released when the connection goes away.
-	var admitted func()
-	defer func() {
-		conn.Close()
-		if admitted != nil {
-			admitted()
-		}
-	}()
-	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	cs := &codecState{}
-	var frameBuf []byte
-	for {
-		typ, payload, err := wire.ReadFrameInto(br, &frameBuf)
-		if err != nil {
-			return
-		}
-		if typ == msgAttach && admitted == nil {
-			rel, aerr := s.adm.Acquire(tenant, admit.Bulk)
-			if aerr != nil {
-				if err := writeShed(bw, aerr); err != nil {
-					return
-				}
-				if err := bw.Flush(); err != nil {
-					return
-				}
-				continue
-			}
-			admitted = rel
-		}
-		if err := s.dispatch(bw, typ, payload, cs); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
-	}
-	return writeError(w, err)
+	admit.Serve(l, s.clock, s.adm, "gridbuffer", func() admit.Handler {
+		cs := &wire.CodecBuf{}
+		return admit.Handler{Admit: admission, Handle: func(rw *bufio.ReadWriter, typ uint8, payload []byte) error {
+			return s.dispatch(rw.Writer, typ, payload, cs)
+		}}
+	})
 }
 
 func decodeOptions(d *wire.Decoder) Options {
@@ -352,7 +294,7 @@ func decodeGetWin(d *wire.Decoder) (getWinReq, error) {
 	return r, nil
 }
 
-func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codecState) error {
+func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *wire.CodecBuf) error {
 	var w io.Writer = bw
 	d := wire.NewDecoder(payload)
 	switch typ {
@@ -371,7 +313,7 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			reqCodec = d.String()
 		}
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		b := s.reg.GetOrCreate(key, opts)
 		readerID := -1
@@ -384,9 +326,9 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			chosen := wire.NegotiateCodec(reqCodec, s.codecs)
 			codec, err := wire.ForName(chosen)
 			if err != nil {
-				return writeError(w, err)
+				return admit.WriteError(w, err)
 			}
-			cs.codec = codec
+			cs.Codec = codec
 			e.String(chosen)
 		}
 		return wire.WriteFrame(w, msgAttachResp, e.Bytes())
@@ -396,37 +338,37 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		idx := d.I64()
 		data := d.Bytes32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
-		data, derr := cs.dec(data)
+		data, derr := cs.Dec(data)
 		if derr != nil {
-			return writeError(w, derr)
+			return admit.WriteError(w, derr)
 		}
 		b, ok := s.reg.Lookup(key)
 		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
+			return admit.WriteError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
 		}
 		if err := b.Put(idx, data); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgPutResp, nil)
 
 	case msgPutBatch:
 		req, err := decodePutBatch(d)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		b, ok := s.reg.Lookup(req.key)
 		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", req.key))
+			return admit.WriteError(w, fmt.Errorf("gridbuffer: no buffer %q", req.key))
 		}
 		for _, blk := range req.blocks {
-			data, derr := cs.dec(blk.data)
+			data, derr := cs.Dec(blk.data)
 			if derr != nil {
-				return writeError(w, derr)
+				return admit.WriteError(w, derr)
 			}
 			if err := b.Put(blk.idx, data); err != nil {
-				return writeError(w, err)
+				return admit.WriteError(w, err)
 			}
 		}
 		e := wire.NewEncoder()
@@ -442,20 +384,20 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		// response lost on the wire can be re-requested after reconnect.
 		ackBelow := d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		b, ok := s.reg.Lookup(key)
 		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
+			return admit.WriteError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
 		}
 		if ackBelow > 0 {
 			b.AckBelow(readerID, ackBelow)
 		}
 		data, eof, err := b.GetKeep(readerID, idx)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
-		out := cs.enc(data)
+		out := cs.Enc(data)
 		e := wire.NewEncoder()
 		e.Bool(eof).U32(uint32(len(out)))
 		err = wire.WriteFrameV(w, msgGetResp, e.Bytes(), out)
@@ -465,11 +407,11 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 	case msgGetWin:
 		req, err := decodeGetWin(d)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		b, ok := s.reg.Lookup(req.key)
 		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", req.key))
+			return admit.WriteError(w, fmt.Errorf("gridbuffer: no buffer %q", req.key))
 		}
 		if req.ackBelow > 0 {
 			b.AckBelow(req.readerID, req.ackBelow)
@@ -486,9 +428,9 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 			idx := req.first + int64(i)
 			data, eof, err := b.GetKeep(req.readerID, idx)
 			if err != nil {
-				return writeError(w, err)
+				return admit.WriteError(w, err)
 			}
-			out := cs.enc(data)
+			out := cs.Enc(data)
 			e.Reset()
 			e.I64(idx).Bool(eof).U32(uint32(len(out)))
 			err = wire.WriteFrameV(bw, msgGetWinResp, e.Bytes(), out)
@@ -506,14 +448,14 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		key := d.String()
 		total := d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		b, ok := s.reg.Lookup(key)
 		if !ok {
-			return writeError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
+			return admit.WriteError(w, fmt.Errorf("gridbuffer: no buffer %q", key))
 		}
 		if err := b.CloseWrite(total); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgCloseWriteResp, nil)
 
@@ -521,7 +463,7 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 		key := d.String()
 		readerID := int(d.I64())
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		if b, ok := s.reg.Lookup(key); ok {
 			b.Detach(readerID)
@@ -531,16 +473,12 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *codec
 	case msgDrop:
 		key := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		s.reg.Drop(key)
 		return wire.WriteFrame(w, msgDropResp, nil)
 
 	default:
-		return writeError(w, fmt.Errorf("gridbuffer: unknown message type %d", typ))
+		return admit.WriteError(w, fmt.Errorf("gridbuffer: unknown message type %d", typ))
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

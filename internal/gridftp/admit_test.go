@@ -3,7 +3,6 @@ package gridftp
 import (
 	"bytes"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -12,43 +11,6 @@ import (
 	"griddles/internal/simnet"
 	"griddles/internal/vfs"
 )
-
-// tempAcceptErr mimics an EMFILE-style transient accept failure.
-type tempAcceptErr struct{}
-
-func (tempAcceptErr) Error() string   { return "accept: resource temporarily unavailable" }
-func (tempAcceptErr) Temporary() bool { return true }
-
-// flakyListener fails its first `fails` Accepts with a temporary error.
-type flakyListener struct {
-	net.Listener
-	fails int
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails > 0 {
-		l.fails--
-		return nil, tempAcceptErr{}
-	}
-	return l.Listener.Accept()
-}
-
-func TestServeSurvivesFlakyAccept(t *testing.T) {
-	r := newRig(simnet.LinkSpec{Latency: time.Millisecond})
-	vfs.WriteFile(r.fs, "data.bin", []byte("hello"))
-	r.v.Run(func() {
-		l, err := r.net.Host("srv").Listen("srv:6000")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		srv := NewServer(r.fs, r.v)
-		r.v.Go("gridftp-serve", func() { srv.Serve(&flakyListener{Listener: l, fails: 3}) })
-		size, exists, err := r.client.Stat("data.bin")
-		if err != nil || !exists || size != 5 {
-			t.Fatalf("stat through flaky listener: %d %v %v", size, exists, err)
-		}
-	})
-}
 
 func TestBulkShedControlAdmitted(t *testing.T) {
 	r := newRig(simnet.LinkSpec{Latency: time.Millisecond})

@@ -193,11 +193,7 @@ func (c *Client) negotiateStream(w io.Writer, br *bufio.Reader, path string) (*s
 		c.noteNegotiate(wire.CodecRaw, "old-peer")
 		return nil, nil
 	case admit.MsgShed:
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return nil, err
-		}
-		return nil, shed
+		return nil, admit.CheckStatus("gridftp", typ, resp)
 	case msgNegotiateResp:
 		d := wire.NewDecoder(resp)
 		chosen := d.String()
@@ -213,7 +209,7 @@ func (c *Client) negotiateStream(w io.Writer, br *bufio.Reader, path string) (*s
 			c.noteNegotiate(wire.CodecRaw, "server-raw")
 			return nil, nil
 		}
-		sc := &streamCodec{codec: codec}
+		sc := &streamCodec{CodecBuf: wire.CodecBuf{Codec: codec}}
 		if columnar && schema != nil {
 			sc.schema, sc.order = schema, order
 		}
@@ -285,18 +281,13 @@ func (c *Client) roundTripLocked(reqType uint8, payload []byte) (uint8, []byte, 
 	if c.retry.Enabled() {
 		c.conn.SetDeadline(time.Time{})
 	}
-	if typ == admit.MsgShed {
-		// Overload shed: the connection stays good; the retry policy waits
-		// out the server's hint and re-asks.
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
+	// An overload shed leaves the connection good: the retry policy waits
+	// out the server's hint and re-asks. A garbled one drops it.
+	if err := admit.CheckStatus("gridftp", typ, resp); err != nil {
+		if typ == admit.MsgShed && !errors.As(err, new(*admit.ShedError)) {
 			c.dropConnLocked()
-			return 0, nil, err
 		}
-		return 0, nil, shed
-	}
-	if typ == msgError {
-		return 0, nil, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(resp).String()))
+		return 0, nil, err
 	}
 	return typ, resp, nil
 }
@@ -409,15 +400,8 @@ func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, err
-		}
-		return 0, shed
-	}
-	if typ == msgError {
-		return 0, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(resp).String()))
+	if err := admit.CheckStatus("gridftp", typ, resp); err != nil {
+		return 0, err
 	}
 	if typ != msgFetchHdr {
 		return 0, retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
@@ -458,7 +442,7 @@ func (c *Client) fetchOnce(path string, off, length int64, w io.Writer) (int64, 
 			}
 			return total, nil
 		case msgError:
-			return total, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(payload).String()))
+			return total, admit.CheckStatus("gridftp", typ, payload)
 		default:
 			return total, retry.Permanent(fmt.Errorf("gridftp: unexpected frame %d during fetch", typ))
 		}
@@ -555,15 +539,8 @@ func (c *Client) putOnce(path string, r io.Reader) (total int64, readAny bool, e
 	if err != nil {
 		return 0, readAny, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, readAny, err
-		}
-		return 0, readAny, shed
-	}
-	if typ == msgError {
-		return 0, readAny, retry.Permanent(errors.New("gridftp: " + wire.NewDecoder(resp).String()))
+	if err := admit.CheckStatus("gridftp", typ, resp); err != nil {
+		return 0, readAny, err
 	}
 	if typ != msgPutResp {
 		return 0, readAny, retry.Permanent(fmt.Errorf("gridftp: unexpected reply %d", typ))
@@ -644,7 +621,7 @@ func (f *RemoteFile) ensureHandle() error {
 	return nil
 }
 
-// ReadAt implements io.ReaderAt with one round trip per call. With
+// ReadAt implements io.ReaderAt with one round trip per maxRead bytes. With
 // write-behind armed it drains the dirty buffer first (the read barrier), so
 // the handle always reads its own writes.
 func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
@@ -656,6 +633,26 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 			return 0, err
 		}
 	}
+	var n int
+	for {
+		chunk := p[n:min(len(p), n+maxRead)]
+		got, eof, err := f.readAt(chunk, off+int64(n))
+		n += got
+		switch {
+		case err != nil:
+			return n, err
+		case eof && (n < len(p) || n == 0):
+			return n, io.EOF
+		case n == len(p):
+			return n, nil
+		case got < len(chunk):
+			return n, io.ErrUnexpectedEOF
+		}
+	}
+}
+
+// readAt is one read round trip of at most maxRead bytes.
+func (f *RemoteFile) readAt(p []byte, off int64) (int, bool, error) {
 	var n int
 	var eof bool
 	err := f.c.retry.Do("gridftp.read", func(int) error {
@@ -680,17 +677,12 @@ func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
 		eof = eofResp
 		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	if eof && (n < len(p) || n == 0) {
-		return n, io.EOF
-	}
-	return n, nil
+	return n, eof, err
 }
 
 // Read implements io.Reader with read-ahead: each wire round trip fetches up
-// to ReadAhead bytes even when the caller asks for less.
+// to ReadAhead bytes even when the caller asks for less, and at most
+// maxRead bytes however much the caller asks for.
 func (f *RemoteFile) Read(p []byte) (int, error) {
 	if f.closed {
 		return 0, errors.New("gridftp: file closed")
@@ -714,6 +706,7 @@ func (f *RemoteFile) Read(p []byte) (int, error) {
 	if want <= 0 {
 		want = streamChunk
 	}
+	want = min(want, maxRead)
 	buf := make([]byte, want)
 	n, err := f.ReadAt(buf, f.pos)
 	f.buf = buf[:n]

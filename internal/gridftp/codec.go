@@ -107,19 +107,17 @@ func decodeNegotiate(payload []byte) (codec string, schema *xdr.Schema, order bi
 	return codec, s, order, nil
 }
 
-// streamCodec holds one bulk stream's negotiated encoding state plus the
-// reusable transform buffers, so a steady transfer allocates nothing per
-// frame.
+// streamCodec is one bulk stream's negotiated encoding: the block codec
+// step of a wire.CodecBuf, preceded by a columnar reorder when a record
+// schema was negotiated, with its own reusable buffer.
 type streamCodec struct {
-	codec  wire.Codec
+	wire.CodecBuf
 	schema *xdr.Schema
 	order  binary.ByteOrder
-	encBuf []byte
 	colBuf []byte
-	decBuf []byte
 }
 
-func (sc *streamCodec) active() bool { return sc != nil && sc.codec != nil }
+func (sc *streamCodec) active() bool { return sc != nil && sc.Active() }
 
 // encode transforms one outgoing data chunk: columnar reorder when a
 // schema was negotiated, then the block codec. The returned slice is valid
@@ -134,22 +132,17 @@ func (sc *streamCodec) encode(chunk []byte) ([]byte, error) {
 		}
 		src = sc.colBuf
 	}
-	sc.encBuf = sc.codec.Encode(sc.encBuf[:0], src)
-	return sc.encBuf, nil
+	return sc.Enc(src), nil
 }
 
 // decode reverses encode for one incoming data frame. The returned slice
 // is valid until the next decode.
 func (sc *streamCodec) decode(payload []byte) ([]byte, error) {
-	var err error
-	sc.decBuf, err = sc.codec.Decode(sc.decBuf[:0], payload)
-	if err != nil {
-		return nil, err
+	data, err := sc.Dec(payload)
+	if err != nil || sc.schema == nil {
+		return data, err
 	}
-	if sc.schema == nil {
-		return sc.decBuf, nil
-	}
-	sc.colBuf, err = xdr.DecodeColumnar(sc.colBuf[:0], sc.decBuf, *sc.schema, sc.order)
+	sc.colBuf, err = xdr.DecodeColumnar(sc.colBuf[:0], data, *sc.schema, sc.order)
 	if err != nil {
 		return nil, err
 	}

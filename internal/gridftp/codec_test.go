@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"griddles/internal/admit"
 	"griddles/internal/obs"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
@@ -249,7 +250,7 @@ func serveOldProtocol(clock simclock.Clock, fs *vfs.MemFS, l net.Listener) {
 					path := d.String()
 					data, err := vfs.ReadFile(fs, path)
 					if err != nil {
-						writeError(bw, err)
+						admit.WriteError(bw, err)
 						bw.Flush()
 						continue
 					}
@@ -275,7 +276,7 @@ func serveOldProtocol(clock simclock.Clock, fs *vfs.MemFS, l net.Listener) {
 					vfs.WriteFile(fs, path, buf.Bytes())
 					wire.WriteFrame(bw, msgPutResp, wire.NewEncoder().I64(int64(buf.Len())).Bytes())
 				default:
-					writeError(bw, errUnknownType)
+					admit.WriteError(bw, errUnknownType)
 				}
 				if bw.Flush() != nil {
 					return

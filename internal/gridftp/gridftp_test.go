@@ -113,6 +113,35 @@ func TestRemoteReadAtRandomAccess(t *testing.T) {
 	})
 }
 
+// TestRemoteReadAtPastReadCap: a ReadAt larger than one read request may
+// carry is split into capped requests and still fills the whole buffer, and
+// a tail read across the cap ends in io.EOF with the bytes that exist.
+func TestRemoteReadAtPastReadCap(t *testing.T) {
+	r := newRig(simnet.LinkSpec{Latency: time.Millisecond})
+	want := make([]byte, maxRead+maxRead/2)
+	rand.New(rand.NewSource(3)).Read(want)
+	vfs.WriteFile(r.fs, "big", want)
+	r.v.Run(func() {
+		r.start(t)
+		f, err := r.client.Open("big", os.O_RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		buf := make([]byte, maxRead+1)
+		n, err := f.ReadAt(buf, 7)
+		if err != nil || n != len(buf) || !bytes.Equal(buf, want[7:7+len(buf)]) {
+			t.Fatalf("ReadAt over the cap = %d, %v (match %v)", n, err, bytes.Equal(buf[:n], want[7:7+n]))
+		}
+		off := int64(len(want) - maxRead - 10)
+		buf = make([]byte, len(want))
+		n, err = f.ReadAt(buf, off)
+		if err != io.EOF || n != maxRead+10 || !bytes.Equal(buf[:n], want[off:]) {
+			t.Fatalf("tail ReadAt over the cap = %d, %v", n, err)
+		}
+	})
+}
+
 func TestRemoteSeekAndReRead(t *testing.T) {
 	r := newRig(simnet.LinkSpec{Latency: time.Millisecond})
 	vfs.WriteFile(r.fs, "f", []byte("0123456789"))

@@ -55,6 +55,10 @@ const (
 // streamChunk is the frame size used by Fetch/Put bulk streaming.
 const streamChunk = 64 * 1024
 
+// maxRead caps the byte count of one read request, so its reply fits a
+// frame. RemoteFile splits larger reads; the server refuses them.
+const maxRead = wire.MaxFrame / 2
+
 // Server serves one machine's file system to remote File Multiplexers.
 type Server struct {
 	fs     vfs.FS
@@ -89,39 +93,27 @@ func (s *Server) SetAdmission(c *admit.Controller) { s.adm = c }
 // build supports; raw is always available regardless.
 func (s *Server) SetCodecs(names []string) { s.codecs = names }
 
-// classOf maps a request type to its admission class.
-func classOf(typ uint8) admit.Class {
+// admission maps a request type to how the shared loop admits it:
+// open, close, stat and negotiation are Control; reads, writes and the
+// streaming fetch/put transfers are Bulk, and a shed put's upload is
+// drained.
+func admission(typ uint8) admit.Admission {
 	switch typ {
 	case msgOpen, msgClose, msgStat, msgNegotiate:
-		return admit.Control
+		return admit.Admission{Class: admit.Control}
+	case msgPut:
+		return admit.Admission{Class: admit.Bulk, StreamEnd: msgPutEnd}
 	}
-	return admit.Bulk
+	return admit.Admission{Class: admit.Bulk}
 }
 
-// Serve accepts connections until l is closed. Temporary accept failures
-// are ridden out with backoff instead of killing the server.
+// Serve accepts connections until l is closed, through the shared
+// admit.Serve loop.
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
-		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("gridftp-conn", func() {
-			defer crel()
-			s.handle(conn)
-		})
-	}
+	admit.Serve(l, s.clock, s.adm, "gridftp", func() admit.Handler {
+		sess := &session{srv: s, next: 1, handles: make(map[uint64]vfs.File)}
+		return admit.Handler{Admit: admission, Handle: sess.dispatch, Close: sess.close}
+	})
 }
 
 // session is the per-connection handle table plus the negotiated stream
@@ -134,64 +126,12 @@ type session struct {
 	sc      *streamCodec
 }
 
-func (s *Server) handle(conn net.Conn) {
-	sess := &session{srv: s, next: 1, handles: make(map[uint64]vfs.File)}
-	defer func() {
-		conn.Close()
-		sess.mu.Lock()
-		for _, f := range sess.handles {
-			f.Close()
-		}
-		sess.mu.Unlock()
-	}()
-	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		rel, aerr := s.adm.Acquire(tenant, classOf(typ))
-		if aerr != nil {
-			if typ == msgPut {
-				// The client streams the upload regardless; drain it so the
-				// connection stays usable after the shed.
-				drainPutStream(br)
-			}
-			if err := writeShed(bw, aerr); err != nil {
-				return
-			}
-		} else {
-			derr := sess.dispatch(bw, br, typ, payload)
-			rel()
-			if derr != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
-	}
-	return writeError(w, err)
-}
-
-// drainPutStream consumes a rejected upload stream up to its end frame.
-func drainPutStream(r *bufio.Reader) {
-	for {
-		typ, _, err := wire.ReadFrame(r)
-		if err != nil || typ == msgPutEnd {
-			return
-		}
+// close releases the handles a connection left open.
+func (sess *session) close() {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	for _, f := range sess.handles {
+		f.Close()
 	}
 }
 
@@ -205,23 +145,23 @@ func (sess *session) file(h uint64) (vfs.File, error) {
 	return f, nil
 }
 
-func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byte) error {
+func (sess *session) dispatch(w *bufio.ReadWriter, typ uint8, payload []byte) error {
 	d := wire.NewDecoder(payload)
 	switch typ {
 	case msgOpen:
 		path := d.String()
 		flag := int(d.U32())
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		f, err := sess.srv.fs.OpenFile(path, flag, 0o644)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		fi, err := f.Stat()
 		if err != nil {
 			f.Close()
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		sess.mu.Lock()
 		h := sess.next
@@ -233,14 +173,14 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 	case msgRead:
 		h, off, n := d.U64(), d.I64(), d.U32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
-		if n > wire.MaxFrame/2 {
-			return writeError(w, errors.New("gridftp: read too large"))
+		if n > maxRead {
+			return admit.WriteError(w, errors.New("gridftp: read too large"))
 		}
 		f, err := sess.file(h)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		buf := make([]byte, n)
 		got, rerr := f.ReadAt(buf, off)
@@ -248,7 +188,7 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		if rerr == io.EOF {
 			eof = true
 		} else if rerr != nil {
-			return writeError(w, rerr)
+			return admit.WriteError(w, rerr)
 		}
 		e := wire.NewEncoder()
 		e.Bool(eof).Bytes32(buf[:got])
@@ -258,39 +198,39 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		h, off := d.U64(), d.I64()
 		data := d.Bytes32()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		f, err := sess.file(h)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		n, werr := f.WriteAt(data, off)
 		if werr != nil {
-			return writeError(w, werr)
+			return admit.WriteError(w, werr)
 		}
 		return wire.WriteFrame(w, msgWriteResp, wire.NewEncoder().U32(uint32(n)).Bytes())
 
 	case msgClose:
 		h := d.U64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		sess.mu.Lock()
 		f, ok := sess.handles[h]
 		delete(sess.handles, h)
 		sess.mu.Unlock()
 		if !ok {
-			return writeError(w, fmt.Errorf("gridftp: unknown handle %d", h))
+			return admit.WriteError(w, fmt.Errorf("gridftp: unknown handle %d", h))
 		}
 		if err := f.Close(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgCloseResp, nil)
 
 	case msgStat:
 		path := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		fi, err := sess.srv.fs.Stat(path)
 		e := wire.NewEncoder()
@@ -305,30 +245,30 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		path := d.String()
 		off, length := d.I64(), d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		return sess.fetch(w, path, off, length)
 
 	case msgPut:
 		path := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
-		return sess.put(w, r, path)
+		return sess.put(w, path)
 
 	case msgNegotiate:
 		req, schema, order, err := decodeNegotiate(payload)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		chosen := wire.NegotiateCodec(req, sess.srv.codecs)
 		codec, err := wire.ForName(chosen)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		columnar := false
 		if codec != nil {
-			sess.sc = &streamCodec{codec: codec}
+			sess.sc = &streamCodec{CodecBuf: wire.CodecBuf{Codec: codec}}
 			if schema != nil {
 				sess.sc.schema, sess.sc.order = schema, order
 				columnar = true
@@ -340,7 +280,7 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 		return wire.WriteFrame(w, msgNegotiateResp, e.Bytes())
 
 	default:
-		return writeError(w, fmt.Errorf("gridftp: unknown message type %d", typ))
+		return admit.WriteError(w, fmt.Errorf("gridftp: unknown message type %d", typ))
 	}
 }
 
@@ -348,12 +288,12 @@ func (sess *session) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload [
 func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 	f, err := sess.srv.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
-		return writeError(w, err)
+		return admit.WriteError(w, err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return writeError(w, err)
+		return admit.WriteError(w, err)
 	}
 	if off < 0 {
 		off = 0
@@ -381,7 +321,7 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 			if sess.sc.active() {
 				frame, err = sess.sc.encode(frame)
 				if err != nil {
-					return writeError(w, err)
+					return admit.WriteError(w, err)
 				}
 			}
 			if err := wire.WriteFrame(w, msgFetchData, frame); err != nil {
@@ -390,7 +330,7 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 			off += int64(got)
 		}
 		if rerr != nil && rerr != io.EOF {
-			return writeError(w, rerr)
+			return admit.WriteError(w, rerr)
 		}
 		if got == 0 {
 			break
@@ -400,17 +340,17 @@ func (sess *session) fetch(w io.Writer, path string, off, length int64) error {
 }
 
 // put receives streamed data frames and writes them to path.
-func (sess *session) put(w io.Writer, r *bufio.Reader, path string) error {
+func (sess *session) put(rw *bufio.ReadWriter, path string) error {
 	f, err := sess.srv.fs.OpenFile(path, vfs.CreateTruncFlag, 0o644)
+	var frameBuf []byte
 	if err != nil {
 		// Drain the incoming stream so the connection stays usable.
-		drainPutStream(r)
-		return writeError(w, err)
+		wire.DrainUntil(rw.Reader, msgPutEnd, &frameBuf)
+		return admit.WriteError(rw, err)
 	}
 	var total int64
-	var frameBuf []byte
 	for {
-		typ, payload, rerr := wire.ReadFrameInto(r, &frameBuf)
+		typ, payload, rerr := wire.ReadFrameInto(rw.Reader, &frameBuf)
 		if rerr != nil {
 			f.Close()
 			return rerr
@@ -421,27 +361,23 @@ func (sess *session) put(w io.Writer, r *bufio.Reader, path string) error {
 				payload, rerr = sess.sc.decode(payload)
 				if rerr != nil {
 					f.Close()
-					return writeError(w, rerr)
+					return admit.WriteError(rw, rerr)
 				}
 			}
 			n, werr := f.Write(payload)
 			total += int64(n)
 			if werr != nil {
 				f.Close()
-				return writeError(w, werr)
+				return admit.WriteError(rw, werr)
 			}
 		case msgPutEnd:
 			if err := f.Close(); err != nil {
-				return writeError(w, err)
+				return admit.WriteError(rw, err)
 			}
-			return wire.WriteFrame(w, msgPutResp, wire.NewEncoder().I64(total).Bytes())
+			return wire.WriteFrame(rw, msgPutResp, wire.NewEncoder().I64(total).Bytes())
 		default:
 			f.Close()
-			return writeError(w, fmt.Errorf("gridftp: unexpected frame %d during put", typ))
+			return admit.WriteError(rw, fmt.Errorf("gridftp: unexpected frame %d during put", typ))
 		}
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

@@ -2,13 +2,12 @@ package nws
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"time"
 
+	"griddles/internal/admit"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -21,7 +20,6 @@ const (
 	msgForecastResp = 4
 	msgEstimate     = 5
 	msgEstimateResp = 6
-	msgError        = 255
 )
 
 // Server exposes a Service over the framed binary protocol, playing the
@@ -37,43 +35,22 @@ func NewServer(svc *Service, clock simclock.Clock) *Server {
 	return &Server{svc: svc, clock: clock}
 }
 
-// Serve accepts connections until l is closed.
+// Serve accepts connections until l is closed, through the shared
+// admit.Serve loop: temporary accept failures are ridden out with backoff.
 func (s *Server) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("nws-conn", func() { s.handle(conn) })
-	}
+	admit.Serve(l, s.clock, nil, "nws", func() admit.Handler {
+		return admit.Handler{Handle: s.dispatch}
+	})
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if err := s.dispatch(bw, typ, payload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
+func (s *Server) dispatch(w *bufio.ReadWriter, typ uint8, payload []byte) error {
 	d := wire.NewDecoder(payload)
 	switch typ {
 	case msgRecord:
 		src, dst, metric := d.String(), d.String(), d.String()
 		v := math.Float64frombits(d.U64())
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		s.svc.Record(src, dst, metric, s.clock.Now(), v)
 		return wire.WriteFrame(w, msgRecordResp, nil)
@@ -81,7 +58,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 	case msgForecast:
 		src, dst, metric := d.String(), d.String(), d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		v, ok := s.svc.Forecast(src, dst, metric)
 		e := wire.NewEncoder()
@@ -92,7 +69,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		src, dst := d.String(), d.String()
 		n := d.I64()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		dur, ok := s.svc.EstimateTransfer(src, dst, n)
 		e := wire.NewEncoder()
@@ -100,12 +77,8 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		return wire.WriteFrame(w, msgEstimateResp, e.Bytes())
 
 	default:
-		return writeError(w, fmt.Errorf("nws: unknown message type %d", typ))
+		return admit.WriteError(w, fmt.Errorf("nws: unknown message type %d", typ))
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }
 
 // Client queries (and reports into) a remote NWS server.
@@ -152,8 +125,8 @@ func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error)
 		drop()
 		return 0, nil, err
 	}
-	if typ == msgError {
-		return 0, nil, errors.New("nws: " + wire.NewDecoder(resp).String())
+	if err := admit.CheckStatus("nws", typ, resp); err != nil {
+		return 0, nil, err
 	}
 	return typ, resp, nil
 }

@@ -3,50 +3,12 @@ package objstore
 import (
 	"bytes"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"griddles/internal/admit"
 	"griddles/internal/retry"
 )
-
-// tempAcceptErr mimics an EMFILE-style transient accept failure.
-type tempAcceptErr struct{}
-
-func (tempAcceptErr) Error() string   { return "accept: resource temporarily unavailable" }
-func (tempAcceptErr) Temporary() bool { return true }
-
-// flakyListener fails its first `fails` Accepts with a temporary error.
-type flakyListener struct {
-	net.Listener
-	fails int
-}
-
-func (l *flakyListener) Accept() (net.Conn, error) {
-	if l.fails > 0 {
-		l.fails--
-		return nil, tempAcceptErr{}
-	}
-	return l.Listener.Accept()
-}
-
-func TestServeSurvivesFlakyAccept(t *testing.T) {
-	r := newRig()
-	r.store.PutBytes("k", []byte("hello"))
-	r.v.Run(func() {
-		l, err := r.net.Host("srv").Listen("srv:7100")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		srv := NewServer(r.store, r.v)
-		r.v.Go("objstore-serve", func() { srv.Serve(&flakyListener{Listener: l, fails: 3}) })
-		size, exists, err := r.client.Stat("k")
-		if err != nil || !exists || size != 5 {
-			t.Fatalf("stat through flaky listener: %d %v %v", size, exists, err)
-		}
-	})
-}
 
 func TestGetShedStatAdmitted(t *testing.T) {
 	r := newRig()

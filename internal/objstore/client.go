@@ -2,7 +2,6 @@ package objstore
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -82,7 +81,7 @@ func (c *Client) Codec() string { return c.codecName }
 // readNegotiateReply consumes the server's answer to a capability frame:
 // the negotiated state, nil for raw (including the msgError an old server
 // answers for the unknown message type).
-func readNegotiateReply(br *bufio.Reader) (*connCodec, error) {
+func readNegotiateReply(br *bufio.Reader) (*wire.CodecBuf, error) {
 	typ, resp, err := wire.ReadFrame(br)
 	if err != nil {
 		return nil, err
@@ -91,11 +90,7 @@ func readNegotiateReply(br *bufio.Reader) (*connCodec, error) {
 	case msgError:
 		return nil, nil // old peer: rejected the type, connection usable
 	case admit.MsgShed:
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return nil, err
-		}
-		return nil, shed
+		return nil, admit.CheckStatus("objstore", typ, resp)
 	case msgNegotiateResp:
 		d := wire.NewDecoder(resp)
 		chosen := d.String()
@@ -109,7 +104,7 @@ func readNegotiateReply(br *bufio.Reader) (*connCodec, error) {
 		if codec == nil {
 			return nil, nil
 		}
-		return &connCodec{codec: codec}, nil
+		return &wire.CodecBuf{Codec: codec}, nil
 	default:
 		return nil, retry.Permanent(fmt.Errorf("objstore: unexpected negotiation reply %d", typ))
 	}
@@ -149,17 +144,10 @@ func (c *Client) roundTrip(reqType uint8, payload []byte, wantType uint8) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	if typ == admit.MsgShed {
-		// Overload shed: the retry policy waits out the server's hint and
-		// re-asks.
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return nil, err
-		}
-		return nil, shed
-	}
-	if typ == msgError {
-		return nil, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(resp).String()))
+	// An overload shed: the retry policy waits out the server's hint and
+	// re-asks.
+	if err := admit.CheckStatus("objstore", typ, resp); err != nil {
+		return nil, err
 	}
 	if typ != wantType {
 		return nil, retry.Permanent(fmt.Errorf("objstore: unexpected reply %d", typ))
@@ -248,7 +236,7 @@ func (c *Client) getOnce(key string, off, length int64, w io.Writer) (total, siz
 	defer conn.Close()
 	idle := c.retry.Timeout()
 	br := bufio.NewReader(conn)
-	var cc *connCodec
+	var cc *wire.CodecBuf
 	wantCodec := c.codecName != "" && c.codecName != wire.CodecRaw
 	if wantCodec {
 		// The capability frame pipelines ahead of the GET: both requests go
@@ -273,15 +261,8 @@ func (c *Client) getOnce(key string, off, length int64, w io.Writer) (total, siz
 	if err != nil {
 		return 0, 0, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, 0, err
-		}
-		return 0, 0, shed
-	}
-	if typ == msgError {
-		return 0, 0, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(resp).String()))
+	if err := admit.CheckStatus("objstore", typ, resp); err != nil {
+		return 0, 0, err
 	}
 	if typ != msgGetHdr {
 		return 0, 0, retry.Permanent(fmt.Errorf("objstore: unexpected reply %d", typ))
@@ -304,7 +285,7 @@ func (c *Client) getOnce(key string, off, length int64, w io.Writer) (total, siz
 		}
 		switch typ {
 		case msgGetData:
-			data, derr := cc.dec(payload)
+			data, derr := cc.Dec(payload)
 			if derr != nil {
 				return total, size, retry.Permanent(derr)
 			}
@@ -319,7 +300,7 @@ func (c *Client) getOnce(key string, off, length int64, w io.Writer) (total, siz
 			}
 			return total, size, nil
 		case msgError:
-			return total, size, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(payload).String()))
+			return total, size, admit.CheckStatus("objstore", typ, payload)
 		default:
 			return total, size, retry.Permanent(fmt.Errorf("objstore: unexpected frame %d during get", typ))
 		}
@@ -368,7 +349,7 @@ func (c *Client) putOnce(key string, r io.Reader) (total int64, readAny bool, er
 	idle := c.retry.Timeout()
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
-	var cc *connCodec
+	var cc *wire.CodecBuf
 	if c.codecName != "" && c.codecName != wire.CodecRaw {
 		// Uploads must know the answer before encoding any data (an old
 		// server would store compressed frames verbatim), so the capability
@@ -397,7 +378,7 @@ func (c *Client) putOnce(key string, r io.Reader) (total int64, readAny bool, er
 			if idle > 0 {
 				conn.SetDeadline(c.clock.Now().Add(idle))
 			}
-			if err := wire.WriteFrame(bw, msgPutData, cc.enc(buf[:n])); err != nil {
+			if err := wire.WriteFrame(bw, msgPutData, cc.Enc(buf[:n])); err != nil {
 				return 0, readAny, err
 			}
 		}
@@ -421,15 +402,8 @@ func (c *Client) putOnce(key string, r io.Reader) (total int64, readAny bool, er
 	if err != nil {
 		return 0, readAny, err
 	}
-	if typ == admit.MsgShed {
-		shed, err := admit.DecodeShed(resp)
-		if err != nil {
-			return 0, readAny, err
-		}
-		return 0, readAny, shed
-	}
-	if typ == msgError {
-		return 0, readAny, retry.Permanent(errors.New("objstore: " + wire.NewDecoder(resp).String()))
+	if err := admit.CheckStatus("objstore", typ, resp); err != nil {
+		return 0, readAny, err
 	}
 	if typ != msgPutResp {
 		return 0, readAny, retry.Permanent(fmt.Errorf("objstore: unexpected reply %d", typ))

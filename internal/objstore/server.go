@@ -2,7 +2,6 @@ package objstore
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -39,105 +38,50 @@ func (s *Server) SetAdmission(c *admit.Controller) { s.adm = c }
 // supports; raw is always available regardless.
 func (s *Server) SetCodecs(names []string) { s.codecs = names }
 
-// classOf maps a request type to its admission class.
-func classOf(typ uint8) admit.Class {
+// admission maps a request type to how the shared loop admits it: stat,
+// list and negotiation are Control; gets and puts are Bulk, and a shed
+// put's upload is drained.
+func admission(typ uint8) admit.Admission {
 	switch typ {
 	case msgStat, msgList, msgNegotiate:
-		return admit.Control
+		return admit.Admission{Class: admit.Control}
+	case msgPutBegin:
+		return admit.Admission{Class: admit.Bulk, StreamEnd: msgPutEnd}
 	}
-	return admit.Bulk
+	return admit.Admission{Class: admit.Bulk}
 }
 
-// Serve accepts connections until l is closed. Temporary accept failures
-// are ridden out with backoff instead of killing the server.
+// Serve accepts connections until l is closed, through the shared
+// admit.Serve loop.
 func (s *Server) Serve(l net.Listener) {
-	backoff := admit.NewAcceptBackoff(s.clock)
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if admit.Temporary(err) {
-				backoff.Sleep()
-				continue
-			}
-			return
-		}
-		backoff.Reset()
-		crel, ok := s.adm.AdmitConn()
-		if !ok {
-			conn.Close()
-			continue
-		}
-		s.clock.Go("objstore-conn", func() {
-			defer crel()
-			s.handle(conn)
-		})
-	}
+	admit.Serve(l, s.clock, s.adm, "objstore", func() admit.Handler {
+		cc := &wire.CodecBuf{}
+		return admit.Handler{Admit: admission, Handle: func(rw *bufio.ReadWriter, typ uint8, payload []byte) error {
+			return s.dispatch(rw, typ, payload, cc)
+		}}
+	})
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	tenant := admit.TenantOf(conn)
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	cc := &connCodec{}
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		rel, aerr := s.adm.Acquire(tenant, classOf(typ))
-		if aerr != nil {
-			if typ == msgPutBegin {
-				// The client streams the upload regardless; drain it so the
-				// connection stays usable after the shed.
-				drainPut(br)
-			}
-			if err := writeShed(bw, aerr); err != nil {
-				return
-			}
-		} else {
-			derr := s.dispatch(bw, br, typ, payload, cc)
-			rel()
-			if derr != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// writeShed answers one request with a shed frame (or a plain error frame
-// when err is not a shed), leaving the connection usable.
-func writeShed(w io.Writer, err error) error {
-	var shed *admit.ShedError
-	if errors.As(err, &shed) {
-		return admit.WriteShed(w, shed)
-	}
-	return writeError(w, err)
-}
-
-func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byte, cc *connCodec) error {
+func (s *Server) dispatch(w *bufio.ReadWriter, typ uint8, payload []byte, cc *wire.CodecBuf) error {
 	switch typ {
 	case msgNegotiate:
 		d := wire.NewDecoder(payload)
 		req := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		chosen := wire.NegotiateCodec(req, s.codecs)
 		codec, err := wire.ForName(chosen)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
-		cc.codec = codec
+		cc.Codec = codec
 		return wire.WriteFrame(w, msgNegotiateResp, wire.NewEncoder().String(chosen).Bytes())
 
 	case msgStat:
 		req, err := decodeStatReq(payload)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		size, exists := s.store.Stat(req.Key)
 		return wire.WriteFrame(w, msgStatResp, statResp{Exists: exists, Size: size}.encode())
@@ -145,35 +89,35 @@ func (s *Server) dispatch(w io.Writer, r *bufio.Reader, typ uint8, payload []byt
 	case msgGet:
 		req, err := decodeGetReq(payload)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		return s.get(w, req, cc)
 
 	case msgList:
 		req, err := decodeListReq(payload)
 		if err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		return wire.WriteFrame(w, msgListResp, listResp{Objects: s.store.List(req.Prefix)}.encode())
 
 	case msgPutBegin:
 		req, err := decodePutBegin(payload)
 		if err != nil {
-			drainPut(r)
-			return writeError(w, err)
+			wire.DrainUntil(w.Reader, msgPutEnd, new([]byte))
+			return admit.WriteError(w, err)
 		}
-		return s.put(w, r, req.Key, cc)
+		return s.put(w, req.Key, cc)
 
 	default:
-		return writeError(w, fmt.Errorf("objstore: unknown message type %d", typ))
+		return admit.WriteError(w, fmt.Errorf("objstore: unknown message type %d", typ))
 	}
 }
 
 // get streams the requested range as header, data frames, end.
-func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
+func (s *Server) get(w io.Writer, req getReq, cc *wire.CodecBuf) error {
 	data, ok := s.store.Get(req.Key)
 	if !ok {
-		return writeError(w, fmt.Errorf("objstore: %s: no such object", req.Key))
+		return admit.WriteError(w, fmt.Errorf("objstore: %s: no such object", req.Key))
 	}
 	size := int64(len(data))
 	off := req.Off
@@ -192,7 +136,7 @@ func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
 		if end-off < n {
 			n = end - off
 		}
-		if err := wire.WriteFrame(w, msgGetData, cc.enc(data[off:off+n])); err != nil {
+		if err := wire.WriteFrame(w, msgGetData, cc.Enc(data[off:off+n])); err != nil {
 			return err
 		}
 		off += n
@@ -205,40 +149,26 @@ func (s *Server) get(w io.Writer, req getReq, cc *connCodec) error {
 // is the whole-object atomic PUT contract, and it is what makes a client
 // replay after a transport fault safe (the object appears exactly once,
 // complete).
-func (s *Server) put(w io.Writer, r *bufio.Reader, key string, cc *connCodec) error {
+func (s *Server) put(rw *bufio.ReadWriter, key string, cc *wire.CodecBuf) error {
 	var body []byte
 	var frameBuf []byte
 	for {
-		typ, payload, err := wire.ReadFrameInto(r, &frameBuf)
+		typ, payload, err := wire.ReadFrameInto(rw.Reader, &frameBuf)
 		if err != nil {
 			return err
 		}
 		switch typ {
 		case msgPutData:
-			chunk, derr := cc.dec(payload)
+			chunk, derr := cc.Dec(payload)
 			if derr != nil {
-				return writeError(w, derr)
+				return admit.WriteError(rw, derr)
 			}
 			body = append(body, chunk...)
 		case msgPutEnd:
 			s.store.Put(key, body)
-			return wire.WriteFrame(w, msgPutResp, putResp{Size: int64(len(body))}.encode())
+			return wire.WriteFrame(rw, msgPutResp, putResp{Size: int64(len(body))}.encode())
 		default:
-			return writeError(w, fmt.Errorf("objstore: unexpected frame %d during put", typ))
+			return admit.WriteError(rw, fmt.Errorf("objstore: unexpected frame %d during put", typ))
 		}
 	}
-}
-
-// drainPut consumes a rejected upload stream so the connection stays usable.
-func drainPut(r *bufio.Reader) {
-	for {
-		typ, _, err := wire.ReadFrame(r)
-		if err != nil || typ == msgPutEnd {
-			return
-		}
-	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }

@@ -2,11 +2,10 @@ package replica
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 
+	"griddles/internal/admit"
 	"griddles/internal/simclock"
 	"griddles/internal/wire"
 )
@@ -21,7 +20,6 @@ const (
 	msgUnregisterResp = 6
 	msgLogicals       = 7
 	msgLogicalsResp   = 8
-	msgError          = 255
 )
 
 // Server exposes a Catalog over the framed binary protocol (the role the
@@ -36,33 +34,12 @@ func NewServer(cat *Catalog, clock simclock.Clock) *Server {
 	return &Server{cat: cat, clock: clock}
 }
 
-// Serve accepts connections until l is closed.
+// Serve accepts connections until l is closed, through the shared
+// admit.Serve loop: temporary accept failures are ridden out with backoff.
 func (s *Server) Serve(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		s.clock.Go("replica-conn", func() { s.handle(conn) })
-	}
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		typ, payload, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		if err := s.dispatch(bw, typ, payload); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	admit.Serve(l, s.clock, nil, "replica", func() admit.Handler {
+		return admit.Handler{Handle: s.dispatch}
+	})
 }
 
 func encodeLocation(e *wire.Encoder, l Location) {
@@ -73,13 +50,13 @@ func decodeLocation(d *wire.Decoder) Location {
 	return Location{Host: d.String(), Addr: d.String(), Path: d.String()}
 }
 
-func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
+func (s *Server) dispatch(w *bufio.ReadWriter, typ uint8, payload []byte) error {
 	d := wire.NewDecoder(payload)
 	switch typ {
 	case msgLookup:
 		logical := d.String()
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		locs := s.cat.Lookup(logical)
 		e := wire.NewEncoder()
@@ -93,7 +70,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		logical := d.String()
 		loc := decodeLocation(d)
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		s.cat.Register(logical, loc)
 		return wire.WriteFrame(w, msgRegisterResp, nil)
@@ -102,7 +79,7 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		logical := d.String()
 		loc := decodeLocation(d)
 		if err := d.Err(); err != nil {
-			return writeError(w, err)
+			return admit.WriteError(w, err)
 		}
 		s.cat.Unregister(logical, loc)
 		return wire.WriteFrame(w, msgUnregisterResp, nil)
@@ -113,12 +90,8 @@ func (s *Server) dispatch(w io.Writer, typ uint8, payload []byte) error {
 		return wire.WriteFrame(w, msgLogicalsResp, e.Bytes())
 
 	default:
-		return writeError(w, fmt.Errorf("replica: unknown message type %d", typ))
+		return admit.WriteError(w, fmt.Errorf("replica: unknown message type %d", typ))
 	}
-}
-
-func writeError(w io.Writer, err error) error {
-	return wire.WriteFrame(w, msgError, wire.NewEncoder().String(err.Error()).Bytes())
 }
 
 // Dialer opens connections to service addresses.
@@ -172,8 +145,8 @@ func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error)
 		drop()
 		return 0, nil, err
 	}
-	if typ == msgError {
-		return 0, nil, errors.New("replica: " + wire.NewDecoder(resp).String())
+	if err := admit.CheckStatus("replica", typ, resp); err != nil {
+		return 0, nil, err
 	}
 	return typ, resp, nil
 }

@@ -25,6 +25,56 @@ type Codec interface {
 	Decode(dst, src []byte) ([]byte, error)
 }
 
+// CodecBuf is one stream's negotiated Codec plus reusable transform
+// buffers, so a steady stream allocates nothing per block. A nil *CodecBuf,
+// or one with a nil Codec, is a raw stream: it passes data through.
+type CodecBuf struct {
+	Codec  Codec
+	encBuf []byte
+	decBuf []byte
+}
+
+// Active reports whether the stream transforms its payloads.
+func (b *CodecBuf) Active() bool { return b != nil && b.Codec != nil }
+
+// Enc encodes one block payload; the result aliases an internal buffer
+// valid until the next Enc. A raw stream returns data untouched.
+func (b *CodecBuf) Enc(data []byte) []byte {
+	if !b.Active() {
+		return data
+	}
+	b.encBuf = b.Codec.Encode(b.encBuf[:0], data)
+	return b.encBuf
+}
+
+// Dec reverses Enc; the result aliases an internal buffer valid until the
+// next Dec.
+func (b *CodecBuf) Dec(data []byte) ([]byte, error) {
+	if !b.Active() {
+		return data, nil
+	}
+	var err error
+	b.decBuf, err = b.Codec.Decode(b.decBuf[:0], data)
+	return b.decBuf, err
+}
+
+// Arena lends out the emptied encode buffer to a caller that encodes
+// several blocks back to back; KeepArena takes the grown buffer back.
+// Either invalidates the result of the last Enc. A nil *CodecBuf lends nil.
+func (b *CodecBuf) Arena() []byte {
+	if b == nil {
+		return nil
+	}
+	return b.encBuf[:0]
+}
+
+// KeepArena stores an arena grown from Arena for reuse.
+func (b *CodecBuf) KeepArena(arena []byte) {
+	if b != nil {
+		b.encBuf = arena
+	}
+}
+
 // ErrBadBlock is wrapped by Decode errors for malformed encoded blocks.
 var ErrBadBlock = errors.New("wire: malformed codec block")
 

@@ -68,3 +68,15 @@ func ReadFrameInto(r io.Reader, buf *[]byte) (msgType uint8, payload []byte, err
 	}
 	return hdr[4], payload, nil
 }
+
+// DrainUntil discards frames from r up to and including the first of type
+// end, or until a read fails, reusing *buf. A server uses it to skip an
+// upload stream it refused, so the connection stays usable.
+func DrainUntil(r io.Reader, end uint8, buf *[]byte) {
+	for {
+		typ, _, err := ReadFrameInto(r, buf)
+		if err != nil || typ == end {
+			return
+		}
+	}
+}
