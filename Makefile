@@ -40,7 +40,7 @@ race:
 ## pre-PR floors for internal/core, internal/gridbuffer and
 ## internal/workflow.
 cover:
-	$(GO) test -race -shuffle=on -coverprofile=cover.out \
+	$(GO) test -race -shuffle=on -timeout 5m -coverprofile=cover.out \
 		./internal/obs/... ./internal/core/... ./internal/gridbuffer/... \
 		./internal/workflow/... ./internal/objstore/... ./internal/gns/... \
 		./internal/admit/... ./internal/stress/... \
@@ -113,7 +113,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -shuffle=on -timeout 5m ./...
 
 ## loc: production Go lines (tests excluded), the figure CHANGES.md
 ## reports per change.

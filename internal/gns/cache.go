@@ -33,20 +33,10 @@ import (
 // re-resolve (core: ResolveFresh) closes the cross-client remap window
 // without waiting out the TTL.
 
-// DefaultCacheMaxEntries bounds the cache population when CacheOptions
-// leaves MaxEntries zero. Unlike the PR 5 watcher bound, overflowing it
-// does not bypass the cache: the soonest-expiring entry is evicted (it has
-// the least lease value left) and the overflow is counted.
+// DefaultCacheMaxEntries bounds the cache population. Overflowing it does
+// not bypass the cache: the soonest-expiring entry is evicted (it has the
+// least lease value left) and the overflow is counted.
 const DefaultCacheMaxEntries = 512
-
-// CacheOptions tunes EnableCacheWith.
-type CacheOptions struct {
-	// MaxEntries bounds cached entries; 0 selects DefaultCacheMaxEntries.
-	MaxEntries int
-	// TTL is the lease duration to request from servers; the server may
-	// grant less, never more. 0 accepts the server's default.
-	TTL time.Duration
-}
 
 // cacheEntry is one leased answer.
 type cacheEntry struct {
@@ -56,12 +46,10 @@ type cacheEntry struct {
 	shard  uint32
 }
 
-// EnableCache turns on lease-based Resolve memoisation with the default
-// options. Call it before the client is shared across goroutines.
-func (c *Client) EnableCache() { c.EnableCacheWith(CacheOptions{}) }
-
-// EnableCacheWith is EnableCache with an explicit entry bound and TTL.
-func (c *Client) EnableCacheWith(opts CacheOptions) {
+// EnableCache turns on lease-based Resolve memoisation, bounded at
+// DefaultCacheMaxEntries entries and leased for the server's default TTL.
+// Call it before the client is shared across goroutines.
+func (c *Client) EnableCache() {
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()
 	if c.cache != nil {
@@ -71,11 +59,7 @@ func (c *Client) EnableCacheWith(opts CacheOptions) {
 	if c.terms == nil {
 		c.terms = make(map[uint32]uint64)
 	}
-	c.cacheMax = opts.MaxEntries
-	if c.cacheMax <= 0 {
-		c.cacheMax = DefaultCacheMaxEntries
-	}
-	c.cacheTTL = opts.TTL
+	c.cacheMax = DefaultCacheMaxEntries
 }
 
 // CacheEnabled reports whether EnableCache has been called.
@@ -138,13 +122,9 @@ func (c *Client) cacheStore(k Key, m Mapping, l Lease) Mapping {
 
 // cacheFoldWrite folds this client's own Set/SetIfAbsent answer in
 // directly (read-your-writes), leased under the shard's current term for
-// the client's TTL.
+// the server's default TTL.
 func (c *Client) cacheFoldWrite(k Key, m Mapping) {
 	shard := c.shardIDFor(k.Machine, k.Path)
-	ttl := c.cacheTTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
 	c.cacheMu.Lock()
 	defer c.cacheMu.Unlock()
 	if c.cache == nil || c.closed {
@@ -154,7 +134,7 @@ func (c *Client) cacheFoldWrite(k Key, m Mapping) {
 		return
 	}
 	c.reserveLocked(k)
-	c.cache[k] = cacheEntry{m: m, expire: c.clock.Now().Add(ttl), term: c.terms[shard], shard: shard}
+	c.cache[k] = cacheEntry{m: m, expire: c.clock.Now().Add(DefaultLeaseTTL), term: c.terms[shard], shard: shard}
 }
 
 // reserveLocked makes room for k under the entry bound, evicting the

@@ -233,7 +233,8 @@ func TestClientCacheEntryBound(t *testing.T) {
 		o := obs.New(v)
 		c.SetObserver(o)
 		const max = 4
-		c.EnableCacheWith(CacheOptions{MaxEntries: max})
+		c.EnableCache()
+		c.cacheMax = max
 		for i := 0; i < max+3; i++ {
 			path := fmt.Sprintf("F%04d.DAT", i)
 			store.Set("jagan", path, Mapping{Mode: ModeRemote, RemoteHost: "brecca:6000"})

@@ -21,50 +21,55 @@ type Dialer interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-// Client is the GNS client used by the File Multiplexer. It keeps one
-// persistent connection for request/response calls; Watch calls, which can
-// block for a long time, each get a dedicated connection. A client built
-// with NewShardedClient additionally routes every call to the shard owning
-// the key (see shardclient.go).
+// Client is the GNS client used by the File Multiplexer. Every call routes
+// through one path (see shardclient.go): the key picks its shard on the
+// client's ring, reads walk the shard's members and writes follow the
+// leaseholder. A client from NewClient holds a one-shard ring whose only
+// member is its address, so against an unsharded server it sends exactly
+// the requests it always did. Each member keeps one persistent connection
+// for request/response calls; Watch calls, which can block for a long
+// time, each get a dedicated connection.
 type Client struct {
 	dialer Dialer
-	addr   string
 	clock  simclock.Clock
 	retry  retry.Policy
+	obs    *obs.Observer // nil-safe; receives gns.cache.* / gns.lease.* counters
 
-	mu   *simclock.Mutex // serializes use of the shared connection
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	// callTimeout bounds one round trip even when the retry policy is
-	// disabled. Sharded member sub-clients set it so a blackholed member
-	// fails the walk over to the next replica instead of hanging.
-	callTimeout time.Duration
-
-	obs *obs.Observer // nil-safe; receives gns.cache.* / gns.lease.* counters
-
-	// Sharded routing state (see shardclient.go); seeds empty means the
-	// historical single-server client.
+	// Routing state (see shardclient.go). shardMu is never held across a
+	// round trip.
 	seeds   []string
 	shardMu sync.Mutex
 	smap    ShardMap
 	ring    *Ring
-	members map[string]*Client
-	lead    map[uint32]string // believed leaseholder per shard
+	shards  map[uint32][]*member // per shard, in map order
+	members map[string]*member
+	lead    map[uint32]*member // believed leaseholder per shard
 
 	// Lease cache (see cache.go); nil until EnableCache.
 	cacheMu  sync.Mutex
 	cache    map[Key]cacheEntry
 	terms    map[uint32]uint64 // highest term observed per shard
 	cacheMax int
-	cacheTTL time.Duration // TTL to request; 0 accepts the server default
 	closed   bool
 }
 
-// NewClient returns a Client for the GNS at addr.
+// member is one server address and its persistent connection.
+type member struct {
+	addr string
+	mu   *simclock.Mutex // serializes use of the connection
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+}
+
+// NewClient returns a Client for the GNS at addr: a one-shard ring with
+// addr as its only member and seed. It fetches no shard map up front; only
+// a sharded server answering msgWrongShard makes it fetch one from addr
+// and re-route, and a replica's msgRedirect is followed to the leaseholder.
 func NewClient(dialer Dialer, addr string, clock simclock.Clock) *Client {
-	return &Client{dialer: dialer, addr: addr, clock: clock, mu: simclock.NewMutex(clock)}
+	c := NewShardedClient(dialer, []string{addr}, clock)
+	c.installLocked(ShardMap{VNodes: 1, Shards: []ShardInfo{{Addrs: []string{addr}}}})
+	return c
 }
 
 // SetRetry installs the resilience policy. GNS calls are stateless, so every
@@ -77,97 +82,90 @@ func (c *Client) SetRetry(p retry.Policy) { c.retry = p }
 // to o. Nil keeps them unrecorded.
 func (c *Client) SetObserver(o *obs.Observer) { c.obs = o }
 
-func (c *Client) ensureConnLocked() error {
-	if c.conn != nil {
-		return nil
+func (m *member) dropLocked() {
+	if m.conn != nil {
+		m.conn.Close()
+		m.conn = nil
+		m.br, m.bw = nil, nil
 	}
-	conn, err := c.dialer.Dial(c.addr)
+}
+
+// trip sends one request on m's connection and reads one reply of type
+// want, dialing first if needed. t > 0 bounds the round trip.
+func (c *Client) trip(m *member, t time.Duration, reqType, want uint8, payload []byte) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.conn == nil {
+		conn, err := c.dialer.Dial(m.addr)
+		if err != nil {
+			return nil, fmt.Errorf("gns: dial %s: %w", m.addr, err)
+		}
+		m.conn, m.br, m.bw = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
+	}
+	if t > 0 {
+		m.conn.SetDeadline(c.clock.Now().Add(t))
+	}
+	if err := wire.WriteFrame(m.bw, reqType, payload); err != nil {
+		m.dropLocked()
+		return nil, err
+	}
+	if err := m.bw.Flush(); err != nil {
+		m.dropLocked()
+		return nil, err
+	}
+	typ, resp, err := wire.ReadFrame(m.br)
 	if err != nil {
-		return fmt.Errorf("gns: dial %s: %w", c.addr, err)
+		m.dropLocked()
+		return nil, err
 	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	return nil
-}
-
-func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.br, c.bw = nil, nil
+	if t > 0 {
+		m.conn.SetDeadline(time.Time{})
 	}
-}
-
-// roundTrip sends one request on the shared connection and reads one reply,
-// redialing and retrying on transport faults per the retry policy.
-func (c *Client) roundTrip(reqType uint8, payload []byte) (uint8, []byte, error) {
-	var typ uint8
-	var resp []byte
-	err := c.retry.Do("gns.call", func(int) error {
-		t, r, err := c.tripOnce(reqType, payload)
-		typ, resp = t, r
-		return err
-	})
-	return typ, resp, err
-}
-
-func (c *Client) tripOnce(reqType uint8, payload []byte) (uint8, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensureConnLocked(); err != nil {
-		return 0, nil, err
-	}
-	if dl := c.retry.Deadline(); !dl.IsZero() {
-		c.conn.SetDeadline(dl)
-	} else if c.callTimeout > 0 {
-		c.conn.SetDeadline(c.clock.Now().Add(c.callTimeout))
-	}
-	if err := wire.WriteFrame(c.bw, reqType, payload); err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	typ, resp, err := wire.ReadFrame(c.br)
-	if err != nil {
-		c.dropConnLocked()
-		return 0, nil, err
-	}
-	if c.retry.Enabled() || c.callTimeout > 0 {
-		c.conn.SetDeadline(time.Time{})
-	}
-	// An overload shed leaves the connection good: the retry policy waits
-	// out the server's hint and re-asks. A garbled one drops it.
-	if err := admit.CheckStatus("gns", typ, resp); err != nil {
+	if err := checkReply(typ, resp, want); err != nil {
+		// An overload shed leaves the connection good: the retry policy
+		// waits out the server's hint and re-asks. A garbled one drops it.
 		if typ == admit.MsgShed && !errors.As(err, new(*admit.ShedError)) {
-			c.dropConnLocked()
+			m.dropLocked()
 		}
-		return 0, nil, err
+		return nil, err
 	}
-	if typ == msgRedirect {
-		// Not the leaseholder: surface who is (sharded writes re-route;
-		// see shardclient.go). Not Permanent — during an election the
-		// right move is to back off and re-ask.
-		leader, term, derr := decodeRedirect(resp)
-		if derr != nil {
-			return 0, nil, derr
+	return resp, nil
+}
+
+// checkReply classifies one answer frame: nil for the wanted type, else
+// the shed, server error, redirect or misroute it carries.
+func checkReply(typ uint8, resp []byte, want uint8) error {
+	if err := admit.CheckStatus("gns", typ, resp); err != nil {
+		return err
+	}
+	switch typ {
+	case want:
+		return nil
+	case msgRedirect:
+		// Not the leaseholder: surface who is, for the write walk to
+		// follow. Not Permanent — during an election the right move is to
+		// back off and re-ask.
+		leader, term, err := decodeRedirect(resp)
+		if err != nil {
+			return err
 		}
-		return 0, nil, &redirectError{leader: leader, term: term}
-	}
-	if typ == msgWrongShard {
+		return &redirectError{leader: leader, term: term}
+	case msgWrongShard:
 		// The server's ring places the key elsewhere: this client's map is
-		// stale. Not Permanent — a sharded client drops its map, refetches
-		// from the seeds and re-routes (see shardclient.go).
-		epoch, owner, derr := decodeWrongShard(resp)
-		if derr != nil {
-			return 0, nil, derr
+		// stale. Not Permanent — the client drops its map, refetches from
+		// the seeds and re-routes.
+		epoch, owner, err := decodeWrongShard(resp)
+		if err != nil {
+			return err
 		}
-		return 0, nil, &wrongShardError{epoch: epoch, owner: owner}
+		return &wrongShardError{epoch: epoch, owner: owner}
 	}
-	return typ, resp, nil
+	return fmt.Errorf("gns: unexpected reply type %d", typ)
+}
+
+// keyed encodes the (machine, path) prefix every keyed request starts with.
+func keyed(machine, path string) *wire.Encoder {
+	return wire.NewEncoder().String(machine).String(path)
 }
 
 // Resolve implements Resolver over the network; with EnableCache it serves
@@ -176,16 +174,13 @@ func (c *Client) Resolve(machine, path string) (Mapping, error) {
 	if c.CacheEnabled() {
 		return c.resolveCached(machine, path)
 	}
-	return c.resolveUncached(machine, path)
-}
-
-// resolveUncached always pays the network round trip, routed to the owning
-// shard when sharded.
-func (c *Client) resolveUncached(machine, path string) (Mapping, error) {
-	if c.sharded() {
-		return c.shardResolve(machine, path)
+	resp, err := c.read(machine, path, msgResolve, msgResolveResp, keyed(machine, path).Bytes())
+	if err != nil {
+		return Mapping{}, err
 	}
-	return c.resolveRemote(machine, path)
+	d := wire.NewDecoder(resp)
+	m := decodeMapping(d)
+	return m, d.Err()
 }
 
 // ResolveFresh bypasses the lease cache: it resolves remotely and — when
@@ -195,7 +190,7 @@ func (c *Client) resolveUncached(machine, path string) (Mapping, error) {
 // staleness into immediate coherence exactly where it matters.
 func (c *Client) ResolveFresh(machine, path string) (Mapping, error) {
 	if !c.CacheEnabled() {
-		return c.resolveUncached(machine, path)
+		return c.Resolve(machine, path)
 	}
 	m, l, err := c.resolveLease(machine, path)
 	if err != nil {
@@ -204,20 +199,16 @@ func (c *Client) ResolveFresh(machine, path string) (Mapping, error) {
 	return c.cacheStore(Key{Machine: machine, Path: path}, m, l), nil
 }
 
-// resolveLease resolves with a cache grant attached, routed when sharded.
-// It also folds the granting shard's term into the client's view, which is
-// what invalidates cached leases from a deposed primary.
+// resolveLease resolves with a cache grant attached. It also folds the
+// granting shard's term into the client's view, which is what invalidates
+// cached leases from a deposed primary. The requested TTL is always 0:
+// the server's default.
 func (c *Client) resolveLease(machine, path string) (Mapping, Lease, error) {
-	var (
-		m   Mapping
-		l   Lease
-		err error
-	)
-	if c.sharded() {
-		m, l, err = c.shardResolveLease(machine, path)
-	} else {
-		m, l, err = c.resolveLeaseRemote(machine, path, c.cacheTTL)
+	resp, err := c.read(machine, path, msgResolveLease, msgResolveLeaseRsp, keyed(machine, path).U32(0).Bytes())
+	if err != nil {
+		return Mapping{}, Lease{}, err
 	}
+	m, l, err := decodeLeaseResp(resp)
 	if err != nil {
 		return Mapping{}, Lease{}, err
 	}
@@ -225,38 +216,12 @@ func (c *Client) resolveLease(machine, path string) (Mapping, Lease, error) {
 	return m, l, nil
 }
 
-// resolveLeaseRemote performs the msgResolveLease round trip.
-func (c *Client) resolveLeaseRemote(machine, path string, reqTTL time.Duration) (Mapping, Lease, error) {
-	e := wire.NewEncoder()
-	e.String(machine).String(path).U32(uint32(reqTTL / time.Millisecond))
-	typ, resp, err := c.roundTrip(msgResolveLease, e.Bytes())
-	if err != nil {
-		return Mapping{}, Lease{}, err
-	}
-	if typ != msgResolveLeaseRsp {
-		return Mapping{}, Lease{}, fmt.Errorf("gns: unexpected reply type %d", typ)
-	}
-	return decodeLeaseResp(resp)
-}
-
 // Lookup reports the mapping stored for exactly (machine, path), without
 // Resolve's wildcard and local-default fallbacks (see Store.Lookup).
 func (c *Client) Lookup(machine, path string) (Mapping, bool, error) {
-	if c.sharded() {
-		return c.shardLookup(machine, path)
-	}
-	return c.lookupRemote(machine, path)
-}
-
-func (c *Client) lookupRemote(machine, path string) (Mapping, bool, error) {
-	e := wire.NewEncoder()
-	e.String(machine).String(path)
-	typ, resp, err := c.roundTrip(msgLookup, e.Bytes())
+	resp, err := c.read(machine, path, msgLookup, msgLookupResp, keyed(machine, path).Bytes())
 	if err != nil {
 		return Mapping{}, false, err
-	}
-	if typ != msgLookupResp {
-		return Mapping{}, false, fmt.Errorf("gns: unexpected reply type %d", typ)
 	}
 	d := wire.NewDecoder(resp)
 	found := d.Bool()
@@ -264,44 +229,18 @@ func (c *Client) lookupRemote(machine, path string) (Mapping, bool, error) {
 	return m, found, d.Err()
 }
 
-// shardMapRemote fetches the server's cluster description (msgShardMap).
-func (c *Client) shardMapRemote() (ShardMap, error) {
-	typ, resp, err := c.roundTrip(msgShardMap, nil)
+// Set installs a mapping and returns the new store version, written
+// through the owning shard's leaseholder.
+func (c *Client) Set(machine, path string, m Mapping) (uint64, error) {
+	e := keyed(machine, path)
+	m.encode(e)
+	resp, err := c.write(machine, path, msgSet, msgSetResp, e.Bytes())
 	if err != nil {
-		return ShardMap{}, err
-	}
-	if typ != msgShardMapResp {
-		return ShardMap{}, fmt.Errorf("gns: unexpected reply type %d", typ)
-	}
-	return DecodeShardMap(resp)
-}
-
-// resolveRemote performs the actual network round trip.
-func (c *Client) resolveRemote(machine, path string) (Mapping, error) {
-	e := wire.NewEncoder()
-	e.String(machine).String(path)
-	typ, resp, err := c.roundTrip(msgResolve, e.Bytes())
-	if err != nil {
-		return Mapping{}, err
-	}
-	if typ != msgResolveResp {
-		return Mapping{}, fmt.Errorf("gns: unexpected reply type %d", typ)
+		return 0, err
 	}
 	d := wire.NewDecoder(resp)
-	m := decodeMapping(d)
-	return m, d.Err()
-}
-
-// Set installs a mapping and returns the new store version. Sharded, the
-// write is routed to the owning shard's leaseholder.
-func (c *Client) Set(machine, path string, m Mapping) (uint64, error) {
-	var v uint64
-	err := c.writeOp(machine, path, func(mc *Client) error {
-		var err error
-		v, err = mc.setRemote(machine, path, m)
-		return err
-	})
-	if err != nil {
+	v := d.U64()
+	if err := d.Err(); err != nil {
 		return 0, err
 	}
 	if c.CacheEnabled() {
@@ -312,36 +251,20 @@ func (c *Client) Set(machine, path string, m Mapping) (uint64, error) {
 	return v, nil
 }
 
-func (c *Client) setRemote(machine, path string, m Mapping) (uint64, error) {
-	e := wire.NewEncoder()
-	e.String(machine).String(path)
-	m.encode(e)
-	typ, resp, err := c.roundTrip(msgSet, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	if typ != msgSetResp {
-		return 0, fmt.Errorf("gns: unexpected reply type %d", typ)
-	}
-	d := wire.NewDecoder(resp)
-	v := d.U64()
-	return v, d.Err()
-}
-
 // SetIfAbsent installs m for (machine, path) only if the key is unmapped,
 // returning the mapping now in force and whether this client installed it
 // (the first-writer-wins commit primitive; see Store.SetIfAbsent).
 func (c *Client) SetIfAbsent(machine, path string, m Mapping) (Mapping, bool, error) {
-	var (
-		cur Mapping
-		won bool
-	)
-	err := c.writeOp(machine, path, func(mc *Client) error {
-		var err error
-		cur, won, err = mc.setIfAbsentRemote(machine, path, m)
-		return err
-	})
+	e := keyed(machine, path)
+	m.encode(e)
+	resp, err := c.write(machine, path, msgSetIfAbsent, msgSetIfAbsentResp, e.Bytes())
 	if err != nil {
+		return Mapping{}, false, err
+	}
+	d := wire.NewDecoder(resp)
+	won := d.Bool()
+	cur := decodeMapping(d)
+	if err := d.Err(); err != nil {
 		return Mapping{}, false, err
 	}
 	if c.CacheEnabled() {
@@ -351,32 +274,9 @@ func (c *Client) SetIfAbsent(machine, path string, m Mapping) (Mapping, bool, er
 	return cur, won, nil
 }
 
-func (c *Client) setIfAbsentRemote(machine, path string, m Mapping) (Mapping, bool, error) {
-	e := wire.NewEncoder()
-	e.String(machine).String(path)
-	m.encode(e)
-	typ, resp, err := c.roundTrip(msgSetIfAbsent, e.Bytes())
-	if err != nil {
-		return Mapping{}, false, err
-	}
-	if typ != msgSetIfAbsentResp {
-		return Mapping{}, false, fmt.Errorf("gns: unexpected reply type %d", typ)
-	}
-	d := wire.NewDecoder(resp)
-	won := d.Bool()
-	cur := decodeMapping(d)
-	if err := d.Err(); err != nil {
-		return Mapping{}, false, err
-	}
-	return cur, won, nil
-}
-
 // Delete removes a mapping.
 func (c *Client) Delete(machine, path string) error {
-	err := c.writeOp(machine, path, func(mc *Client) error {
-		return mc.deleteRemote(machine, path)
-	})
-	if err != nil {
+	if _, err := c.write(machine, path, msgDelete, msgDeleteResp, keyed(machine, path).Bytes()); err != nil {
 		return err
 	}
 	if c.CacheEnabled() {
@@ -385,141 +285,110 @@ func (c *Client) Delete(machine, path string) error {
 	return nil
 }
 
-func (c *Client) deleteRemote(machine, path string) error {
-	e := wire.NewEncoder()
-	e.String(machine).String(path)
-	typ, _, err := c.roundTrip(msgDelete, e.Bytes())
-	if err != nil {
-		return err
-	}
-	if typ != msgDeleteResp {
-		return fmt.Errorf("gns: unexpected reply type %d", typ)
-	}
-	return nil
-}
-
-// writeOp runs one write against the right server: directly for a
-// single-server client, through leaseholder routing when sharded.
-func (c *Client) writeOp(machine, path string, do func(*Client) error) error {
-	if c.sharded() {
-		return c.shardWrite(machine, path, do)
-	}
-	return do(c)
-}
-
-// List reports all mappings in the store (merged across shards).
+// List reports all mappings in the store, merged across shards.
 func (c *Client) List() ([]Entry, error) {
-	if c.sharded() {
-		return c.shardList()
-	}
-	return c.listRemote()
-}
-
-func (c *Client) listRemote() ([]Entry, error) {
-	typ, resp, err := c.roundTrip(msgList, nil)
-	if err != nil {
+	if err := c.lockRing(); err != nil {
 		return nil, err
 	}
-	if typ != msgListResp {
-		return nil, fmt.Errorf("gns: unexpected reply type %d", typ)
+	shards := c.smap.Shards
+	routes := make([][]*member, len(shards))
+	for i, s := range shards {
+		routes[i] = c.orderedLocked(s.ID)
 	}
-	d := wire.NewDecoder(resp)
-	n := d.U32()
-	entries := make([]Entry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var ent Entry
-		ent.Key.Machine = d.String()
-		ent.Key.Path = d.String()
-		ent.Mapping = decodeMapping(d)
-		if err := d.Err(); err != nil {
-			return nil, err
+	c.shardMu.Unlock()
+	var out []Entry
+	for i, s := range shards {
+		var resp []byte
+		err := c.readWalk("gns.call", func() ([]*member, error) { return routes[i], nil },
+			func(m *member, t time.Duration) (err error) {
+				resp, err = c.trip(m, t, msgList, msgListResp, nil)
+				return err
+			})
+		if err != nil {
+			return nil, fmt.Errorf("gns: listing shard %d: %w", s.ID, err)
 		}
-		entries = append(entries, ent)
+		d := wire.NewDecoder(resp)
+		n := d.U32()
+		for j := uint32(0); j < n; j++ {
+			var ent Entry
+			ent.Key.Machine = d.String()
+			ent.Key.Path = d.String()
+			ent.Mapping = decodeMapping(d)
+			if err := d.Err(); err != nil {
+				return nil, err
+			}
+			out = append(out, ent)
+		}
 	}
-	return entries, nil
+	return out, nil
 }
 
 // Watch implements Resolver over the network. Each call uses its own
-// connection so long waits do not block other requests. With a retry policy
-// set, a watch broken mid-wait re-registers with the same `since` version,
-// so no update is lost.
+// connection so long waits do not block other requests; any member of the
+// owning shard serves it (replication wakes a replica's watchers too).
+// With a retry policy set, a watch broken mid-wait re-registers with the
+// same `since` version, so no update is lost.
 func (c *Client) Watch(machine, path string, since uint64, timeoutMS int64) (Mapping, bool, error) {
-	var m Mapping
-	var changed bool
-	err := c.retry.Do("gns.watch", func(int) error {
-		var err error
-		if c.sharded() {
-			m, changed, err = c.shardWatchOnce(machine, path, since, timeoutMS)
-		} else {
-			m, changed, err = c.watchOnce(c.addr, machine, path, since, timeoutMS)
-		}
+	payload := keyed(machine, path).U64(since).I64(timeoutMS).Bytes()
+	var resp []byte
+	err := c.readWalk("gns.watch", c.keyRoute(machine, path), func(m *member, t time.Duration) (err error) {
+		resp, err = c.watchOnce(m.addr, t, timeoutMS, payload)
 		return err
 	})
 	if err != nil {
 		return Mapping{}, false, err
 	}
+	d := wire.NewDecoder(resp)
+	changed := d.Bool()
+	m := decodeMapping(d)
+	if err := d.Err(); err != nil {
+		return Mapping{}, false, err
+	}
 	return m, changed, nil
 }
 
-func (c *Client) watchOnce(addr, machine, path string, since uint64, timeoutMS int64) (Mapping, bool, error) {
+func (c *Client) watchOnce(addr string, t time.Duration, timeoutMS int64, payload []byte) ([]byte, error) {
 	conn, err := c.dialer.Dial(addr)
 	if err != nil {
-		return Mapping{}, false, fmt.Errorf("gns: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("gns: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if t := c.retry.Timeout(); t > 0 {
+	if t > 0 {
 		// The server may legitimately hold the watch for timeoutMS before
 		// answering "unchanged"; the fault deadline starts after that.
 		conn.SetDeadline(c.clock.Now().Add(t + time.Duration(timeoutMS)*time.Millisecond))
 	}
-	e := wire.NewEncoder()
-	e.String(machine).String(path).U64(since).I64(timeoutMS)
-	if err := wire.WriteFrame(conn, msgWatch, e.Bytes()); err != nil {
-		return Mapping{}, false, err
+	if err := wire.WriteFrame(conn, msgWatch, payload); err != nil {
+		return nil, err
 	}
 	typ, resp, err := wire.ReadFrame(bufio.NewReader(conn))
 	if err != nil {
-		return Mapping{}, false, err
+		return nil, err
 	}
-	if err := admit.CheckStatus("gns", typ, resp); err != nil {
-		return Mapping{}, false, err
+	if err := checkReply(typ, resp, msgWatchResp); err != nil {
+		return nil, err
 	}
-	if typ == msgWrongShard {
-		epoch, owner, derr := decodeWrongShard(resp)
-		if derr != nil {
-			return Mapping{}, false, derr
-		}
-		return Mapping{}, false, &wrongShardError{epoch: epoch, owner: owner}
-	}
-	if typ != msgWatchResp {
-		return Mapping{}, false, retry.Permanent(fmt.Errorf("gns: unexpected reply type %d", typ))
-	}
-	d := wire.NewDecoder(resp)
-	changed := d.Bool()
-	m := decodeMapping(d)
-	return m, changed, d.Err()
+	return resp, nil
 }
 
-// Close releases the shared connection (and, sharded, every member
-// sub-client's). The lease cache needs no teardown: there are no watcher
-// goroutines or standing connections to stop — that is the point of
-// leases.
+// Close releases every member's connection. The lease cache needs no
+// teardown: there are no watcher goroutines or standing connections to
+// stop — that is the point of leases.
 func (c *Client) Close() error {
 	c.cacheMu.Lock()
 	c.closed = true
 	c.cacheMu.Unlock()
 	c.shardMu.Lock()
-	members := make([]*Client, 0, len(c.members))
+	members := make([]*member, 0, len(c.members))
 	for _, m := range c.members {
 		members = append(members, m)
 	}
 	c.shardMu.Unlock()
 	for _, m := range members {
-		m.Close()
+		m.mu.Lock()
+		m.dropLocked()
+		m.mu.Unlock()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dropConnLocked()
 	return nil
 }
 

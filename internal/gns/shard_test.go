@@ -10,6 +10,7 @@ import (
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
 	"griddles/internal/simnet"
+	"griddles/internal/wire"
 )
 
 func TestParseRingAndValidate(t *testing.T) {
@@ -123,6 +124,25 @@ func (cl *testCluster) close() {
 	}
 }
 
+// probe sends one raw request frame to addr and returns the reply frame,
+// so a test sees exactly what a server answers, with no client routing.
+func probe(t *testing.T, d Dialer, addr string, typ uint8, payload []byte) (uint8, []byte) {
+	t.Helper()
+	conn, err := d.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, typ, payload); err != nil {
+		t.Fatalf("probe %s: %v", addr, err)
+	}
+	rt, resp, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("probe %s: %v", addr, err)
+	}
+	return rt, resp
+}
+
 func shardedClient(n *simnet.Network, v *simclock.Virtual, seeds ...string) *Client {
 	c := NewShardedClient(n.Host("app"), seeds, v)
 	p := retry.Default(v)
@@ -191,13 +211,19 @@ func TestShardServerRejectsMisroutedKeys(t *testing.T) {
 				break
 			}
 		}
-		direct := NewClient(n.Host("app"), "gns0:5000", v)
-		defer direct.Close()
-		if _, err := direct.Resolve("jagan", path); err == nil {
-			t.Error("misrouted resolve answered, want wrong-shard rejection")
-		}
-		if _, err := direct.Set("jagan", path, Mapping{Mode: ModeLocal}); err == nil {
-			t.Error("misrouted set answered, want wrong-shard rejection")
+		set := keyed("jagan", path)
+		Mapping{Mode: ModeLocal}.encode(set)
+		for _, req := range []struct {
+			typ     uint8
+			payload []byte
+		}{{msgResolve, keyed("jagan", path).Bytes()}, {msgSet, set.Bytes()}} {
+			typ, resp := probe(t, n.Host("app"), "gns0:5000", req.typ, req.payload)
+			if typ != msgWrongShard {
+				t.Fatalf("misrouted request %d answered with type %d, want msgWrongShard", req.typ, typ)
+			}
+			if _, owner, err := decodeWrongShard(resp); err != nil || owner != 1 {
+				t.Errorf("misrouted request %d: owner %d (%v), want shard 1", req.typ, owner, err)
+			}
 		}
 	})
 }
@@ -221,10 +247,14 @@ func TestShardReplicationReachesReplicaAndRedirectsWrites(t *testing.T) {
 		// A write sent straight at the replica is redirected, not applied
 		// locally: the replica answers msgRedirect naming the primary, and a
 		// client following it still lands the write on the leaseholder.
-		direct := NewClient(n.Host("app"), "gns0r:5000", v)
-		defer direct.Close()
-		if _, err := direct.Set("jagan", "A.DAT", want); err == nil {
-			t.Error("replica accepted a direct write, want redirect error")
+		set := keyed("jagan", "A.DAT")
+		want.encode(set)
+		typ, resp := probe(t, n.Host("app"), "gns0r:5000", msgSet, set.Bytes())
+		if typ != msgRedirect {
+			t.Fatalf("replica answered a direct write with type %d, want msgRedirect", typ)
+		}
+		if leader, _, err := decodeRedirect(resp); err != nil || leader != "gns0:5000" {
+			t.Errorf("redirect names %q (%v), want gns0:5000", leader, err)
 		}
 		rc := shardedClient(n, v, "gns0r:5000") // seeded at the replica
 		defer rc.Close()
@@ -528,7 +558,7 @@ func TestShardIsolatedLeaderFencesWritesAndLeases(t *testing.T) {
 			t.Error("fenced primary accepted a write")
 		}
 		// Its leases are void at grant time: zero TTL, nothing cacheable.
-		if _, l, err := direct.resolveLeaseRemote("jagan", "F.DAT", 0); err != nil {
+		if _, l, err := direct.resolveLease("jagan", "F.DAT"); err != nil {
 			t.Fatalf("fenced read: %v", err)
 		} else if l.TTL != 0 {
 			t.Errorf("fenced primary granted TTL %v, want 0", l.TTL)
@@ -683,9 +713,7 @@ func TestShardedClientRefreshesStaleMapOnMisroute(t *testing.T) {
 		}
 		forceStale := func() {
 			c.shardMu.Lock()
-			c.smap = stale
-			c.ring = NewRing(stale)
-			c.lead = map[uint32]string{0: "gns0:5000"}
+			c.installLocked(stale)
 			c.shardMu.Unlock()
 		}
 		ring := NewRing(cl.sm)

@@ -3,125 +3,162 @@ package gns
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"griddles/internal/admit"
 	"griddles/internal/retry"
 	"griddles/internal/simclock"
 )
 
-// Sharded client routing. A sharded client fetches the cluster's ShardMap
-// from a seed member at first use, builds the same consistent-hash ring
-// the servers use, and from then on sends every call straight to the shard
-// owning the key — no proxy tier, no extra hop. Reads walk the shard's
-// members leaseholder-first (replicas serve reads); writes follow
-// msgRedirect answers to the current leaseholder, so a failover costs one
-// extra round trip the first time and nothing after.
+// Client routing. Every call goes straight to the shard owning the key on
+// the client's consistent-hash ring — no proxy tier, no extra hop. Reads
+// walk the shard's members leaseholder-first (replicas serve reads);
+// writes follow msgRedirect answers to the current leaseholder, so a
+// failover costs one extra round trip the first time and nothing after. A
+// single address is simply a one-shard ring: NewClient installs it up
+// front, NewShardedClient fetches the cluster's ShardMap from a seed at
+// first use, and either refetches from its seeds after a msgWrongShard.
 
 // NewShardedClient returns a Client that routes per-key to the shards
 // described by the map served at any of the seed addresses (typically one
 // member per shard, but a single seed suffices). SetRetry/SetObserver/
-// EnableCache apply as on a single-server client.
+// EnableCache apply as on a NewClient.
 func NewShardedClient(dialer Dialer, seeds []string, clock simclock.Clock) *Client {
 	if len(seeds) == 0 {
 		panic("gns: NewShardedClient needs at least one seed")
 	}
-	c := NewClient(dialer, seeds[0], clock)
-	c.seeds = append([]string(nil), seeds...)
-	c.members = make(map[string]*Client)
-	c.lead = make(map[uint32]string)
-	return c
+	return &Client{
+		dialer:  dialer,
+		clock:   clock,
+		seeds:   append([]string(nil), seeds...),
+		members: make(map[string]*member),
+	}
 }
 
-// sharded reports whether this client routes by shard.
-func (c *Client) sharded() bool { return len(c.seeds) > 0 }
+// attemptTimeout bounds one member's round trip in a walk over n members:
+// the retry policy's per-attempt timeout, or none — except that with
+// another member to walk to, a blackholed one must fail over instead of
+// hanging, so the walk falls back to retry.DefaultAttemptTimeout.
+func (c *Client) attemptTimeout(n int) time.Duration {
+	if t := c.retry.Timeout(); t > 0 || n < 2 {
+		return t
+	}
+	return retry.DefaultAttemptTimeout
+}
 
 // noteMisroute reacts to a msgWrongShard answer: the server's ring
-// disagrees with ours, so our cached map is stale (a ring change bumped
-// the epoch). Drop the map and the leaseholder hints; the next route()
-// refetches from the seeds. The triggering call stays non-permanent, so
-// the parent retry policy re-runs it against the fresh map.
-func (c *Client) noteMisroute(ws *wrongShardError) {
+// disagrees with ours, so our map is stale (a ring change bumped the
+// epoch). Drop the map and the leaseholder hints; the next route refetches
+// from the seeds. The triggering call stays non-permanent, so the retry
+// policy re-runs it against the fresh map.
+func (c *Client) noteMisroute() {
 	c.obs.Counter("gns.shard.remap.total").Inc()
 	c.shardMu.Lock()
 	c.ring = nil
-	c.smap = ShardMap{}
-	c.lead = make(map[uint32]string)
 	c.shardMu.Unlock()
 }
 
-// ensureRing fetches and caches the shard map on first use, and again
-// after noteMisroute drops a stale one.
-func (c *Client) ensureRing() error {
+// lockRing returns holding shardMu with a ring installed, first fetching
+// the map from the seeds if there is none. The fetch runs outside the
+// lock: a goroutine blocked on a plain mutex looks runnable to the virtual
+// clock, so holding one across a round trip would freeze simulated time.
+func (c *Client) lockRing() error {
 	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
 	if c.ring != nil {
 		return nil
 	}
+	c.shardMu.Unlock()
+	t := c.attemptTimeout(len(c.seeds))
 	var lastErr error
 	for _, seed := range c.seeds {
-		sm, err := c.memberLocked(seed).shardMapRemote()
+		resp, err := c.trip(c.member(seed), t, msgShardMap, msgShardMapResp, nil)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if err := sm.Validate(); err != nil {
+		sm, err := DecodeShardMap(resp)
+		if err == nil {
+			err = sm.Validate()
+		}
+		if err != nil {
 			lastErr = err
 			continue
 		}
-		c.smap = sm
-		c.ring = NewRing(sm)
-		for _, s := range sm.Shards {
-			c.lead[s.ID] = s.Addrs[0]
-		}
+		c.shardMu.Lock()
+		c.installLocked(sm)
 		return nil
 	}
 	return fmt.Errorf("gns: no seed served a shard map: %w", lastErr)
 }
 
-// memberLocked returns the cached sub-client for one member address,
-// creating it on first use. Members fail fast (one attempt, bounded by the
-// parent policy's per-attempt timeout) — walking to the next member beats
-// re-asking a dead one, and the parent operation wraps the whole walk in
-// the real retry policy.
-func (c *Client) memberLocked(addr string) *Client {
+// installLocked makes sm the routing map, with fresh leaseholder hints.
+// Members persist across maps, connections included.
+func (c *Client) installLocked(sm ShardMap) {
+	c.smap, c.ring = sm, NewRing(sm)
+	c.shards = make(map[uint32][]*member, len(sm.Shards))
+	c.lead = make(map[uint32]*member, len(sm.Shards))
+	for _, s := range sm.Shards {
+		ms := make([]*member, len(s.Addrs))
+		for i, a := range s.Addrs {
+			ms[i] = c.memberLocked(a)
+		}
+		c.shards[s.ID] = ms
+	}
+}
+
+// memberLocked returns the member for one address, creating it on first
+// use.
+func (c *Client) memberLocked(addr string) *member {
 	m, ok := c.members[addr]
 	if !ok {
-		m = NewClient(c.dialer, addr, c.clock)
-		t := c.retry.Timeout()
-		if t <= 0 {
-			t = retry.DefaultAttemptTimeout
-		}
-		m.callTimeout = t
-		m.obs = c.obs
+		m = &member{addr: addr, mu: simclock.NewMutex(c.clock)}
 		c.members[addr] = m
 	}
 	return m
 }
 
-func (c *Client) member(addr string) *Client {
+func (c *Client) member(addr string) *member {
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
 	return c.memberLocked(addr)
 }
 
-// route reports the owning shard's ID and member addresses ordered
-// believed-leaseholder-first.
-func (c *Client) route(machine, path string) (uint32, []string, error) {
-	if err := c.ensureRing(); err != nil {
-		return 0, nil, err
+// orderedLocked lists shard sid's members believed-leaseholder-first. It
+// shares the map's slice when the leaseholder already leads it.
+func (c *Client) orderedLocked(sid uint32) []*member {
+	ms, first := c.shards[sid], c.lead[sid]
+	if first == nil || first == ms[0] {
+		return ms
 	}
-	c.shardMu.Lock()
-	defer c.shardMu.Unlock()
-	sid := c.ring.ShardFor(machine, path)
-	info, ok := c.smap.Shard(sid)
-	if !ok {
-		return 0, nil, fmt.Errorf("gns: ring names unknown shard %d", sid)
+	out := append(make([]*member, 0, len(ms)+1), first)
+	for _, m := range ms {
+		if m != first {
+			out = append(out, m)
+		}
 	}
-	return sid, orderedMembers(info.Addrs, c.lead[sid]), nil
+	return out
 }
 
-// shardIDFor reports the owning shard for a key, 0 when not sharded (or
-// before the ring is known).
+// route reports the owning shard's ID and members, ordered
+// believed-leaseholder-first.
+func (c *Client) route(machine, path string) (uint32, []*member, error) {
+	if err := c.lockRing(); err != nil {
+		return 0, nil, err
+	}
+	defer c.shardMu.Unlock()
+	sid := c.ring.ShardFor(machine, path)
+	return sid, c.orderedLocked(sid), nil
+}
+
+// keyRoute is route as a read walk's per-attempt member list.
+func (c *Client) keyRoute(machine, path string) func() ([]*member, error) {
+	return func() ([]*member, error) {
+		_, ms, err := c.route(machine, path)
+		return ms, err
+	}
+}
+
+// shardIDFor reports the owning shard for a key, 0 while no ring is known.
 func (c *Client) shardIDFor(machine, path string) uint32 {
 	c.shardMu.Lock()
 	defer c.shardMu.Unlock()
@@ -131,223 +168,114 @@ func (c *Client) shardIDFor(machine, path string) uint32 {
 	return c.ring.ShardFor(machine, path)
 }
 
-// orderedMembers lists addrs with first moved to the front.
-func orderedMembers(addrs []string, first string) []string {
-	out := make([]string, 0, len(addrs))
-	if first != "" {
-		out = append(out, first)
-	}
-	for _, a := range addrs {
-		if a != first {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // setLeader records the believed leaseholder for a shard.
-func (c *Client) setLeader(sid uint32, addr string) {
+func (c *Client) setLeader(sid uint32, m *member) {
 	c.shardMu.Lock()
-	c.lead[sid] = addr
+	c.lead[sid] = m
 	c.shardMu.Unlock()
 }
 
-// readWalk runs one read against the owning shard, leaseholder first, then
-// each replica: any member serves reads (staleness is bounded by one
-// heartbeat, inside the lease contract). A server-answered error is final;
-// transport faults walk on. The whole walk is one attempt of the parent
-// retry policy.
-func (c *Client) readWalk(machine, path string, do func(mc *Client) error) error {
-	return c.retry.Do("gns.call", func(int) error {
-		_, members, err := c.route(machine, path)
+// stopWalk classifies one member's failure for either walk and returns
+// the error that ends the attempt, or nil to walk on to the next member. A
+// misroute drops the map (the retry policy re-routes); a server-answered
+// error is final.
+func (c *Client) stopWalk(err error) error {
+	var ws *wrongShardError
+	if errors.As(err, &ws) {
+		c.noteMisroute()
+		return err
+	}
+	var srvErr *admit.RemoteError
+	if errors.As(err, &srvErr) {
+		return retry.Permanent(err)
+	}
+	return nil
+}
+
+// read runs one keyed request through the read walk and returns the reply
+// payload.
+func (c *Client) read(machine, path string, reqType, want uint8, payload []byte) ([]byte, error) {
+	var resp []byte
+	err := c.readWalk("gns.call", c.keyRoute(machine, path), func(m *member, t time.Duration) (err error) {
+		resp, err = c.trip(m, t, reqType, want, payload)
+		return err
+	})
+	return resp, err
+}
+
+// readWalk runs one read: each attempt of the retry policy (under op)
+// routes afresh and asks the members in turn, leaseholder first — any
+// member serves reads (staleness is bounded by one heartbeat, inside the
+// lease contract).
+func (c *Client) readWalk(op string, route func() ([]*member, error), do func(m *member, t time.Duration) error) error {
+	return c.retry.Do(op, func(int) error {
+		members, err := route()
 		if err != nil {
 			return err
 		}
-		var lastErr error
-		for _, addr := range members {
-			err := do(c.member(addr))
-			if err == nil {
+		t := c.attemptTimeout(len(members))
+		for _, m := range members {
+			if err = do(m, t); err == nil {
 				return nil
 			}
-			var ws *wrongShardError
-			if errors.As(err, &ws) {
-				c.noteMisroute(ws)
-				return err
+			if stop := c.stopWalk(err); stop != nil {
+				return stop
 			}
-			var srvErr *admit.RemoteError
-			if errors.As(err, &srvErr) {
-				return retry.Permanent(err)
-			}
-			lastErr = err
 		}
-		return lastErr
+		return err
 	})
 }
 
-// shardWrite runs one write through the owning shard's leaseholder,
+// write runs one keyed write through the owning shard's leaseholder,
 // following msgRedirect answers. Mid-election (a redirect naming no
-// leader, or no member reachable) the walk fails and the parent retry
-// policy backs off and re-runs it — by the next attempt a replica has
-// usually promoted itself.
-func (c *Client) shardWrite(machine, path string, do func(mc *Client) error) error {
-	return c.retry.Do("gns.call", func(int) error {
+// leader, or no member reachable) the walk fails and the retry policy
+// backs off and re-runs it — by the next attempt a replica has usually
+// promoted itself.
+func (c *Client) write(machine, path string, reqType, want uint8, payload []byte) ([]byte, error) {
+	var resp []byte
+	err := c.retry.Do("gns.call", func(int) error {
 		sid, members, err := c.route(machine, path)
 		if err != nil {
 			return err
 		}
-		tried := make(map[string]bool, len(members))
-		addr := members[0]
-		var lastErr error
+		t := c.attemptTimeout(len(members))
+		var tried map[*member]bool
+		m := members[0]
 		for hops := 0; hops < len(members)+2; hops++ {
-			err := do(c.member(addr))
-			if err == nil {
-				c.setLeader(sid, addr)
+			if resp, err = c.trip(m, t, reqType, want, payload); err == nil {
+				c.setLeader(sid, m)
 				return nil
-			}
-			lastErr = err
-			var ws *wrongShardError
-			if errors.As(err, &ws) {
-				c.noteMisroute(ws)
-				return err
 			}
 			var rd *redirectError
 			if errors.As(err, &rd) {
 				c.noteTerm(sid, rd.term)
-				if rd.leader != "" && rd.leader != addr {
-					c.setLeader(sid, rd.leader)
-					addr = rd.leader
+				if rd.leader != "" && rd.leader != m.addr {
+					m = c.member(rd.leader)
+					c.setLeader(sid, m)
 					continue
 				}
-			} else {
-				var srvErr *admit.RemoteError
-				if errors.As(err, &srvErr) {
-					return retry.Permanent(err)
-				}
+			} else if stop := c.stopWalk(err); stop != nil {
+				return stop
 			}
 			// Transport fault or a leaderless redirect: try the next
 			// member we have not asked yet.
-			tried[addr] = true
-			next := ""
+			if tried == nil {
+				tried = make(map[*member]bool, len(members))
+			}
+			tried[m] = true
+			var next *member
 			for _, a := range members {
 				if !tried[a] {
 					next = a
 					break
 				}
 			}
-			if next == "" {
+			if next == nil {
 				break
 			}
-			addr = next
+			m = next
 		}
-		return lastErr
-	})
-}
-
-// shardResolve routes a plain (uncached) resolve.
-func (c *Client) shardResolve(machine, path string) (Mapping, error) {
-	var m Mapping
-	err := c.readWalk(machine, path, func(mc *Client) error {
-		var err error
-		m, err = mc.resolveRemote(machine, path)
 		return err
 	})
-	return m, err
-}
-
-// shardResolveLease routes a leased resolve, folding the granting member's
-// term into the client's shard view.
-func (c *Client) shardResolveLease(machine, path string) (Mapping, Lease, error) {
-	var (
-		m Mapping
-		l Lease
-	)
-	err := c.readWalk(machine, path, func(mc *Client) error {
-		var err error
-		m, l, err = mc.resolveLeaseRemote(machine, path, c.cacheTTL)
-		return err
-	})
-	return m, l, err
-}
-
-// shardLookup routes an exact-key lookup.
-func (c *Client) shardLookup(machine, path string) (Mapping, bool, error) {
-	var (
-		m     Mapping
-		found bool
-	)
-	err := c.readWalk(machine, path, func(mc *Client) error {
-		var err error
-		m, found, err = mc.lookupRemote(machine, path)
-		return err
-	})
-	return m, found, err
-}
-
-// shardWatchOnce routes one watch long-poll to the owning shard, any
-// member (replication wakes a replica's watchers too).
-func (c *Client) shardWatchOnce(machine, path string, since uint64, timeoutMS int64) (Mapping, bool, error) {
-	_, members, err := c.route(machine, path)
-	if err != nil {
-		return Mapping{}, false, err
-	}
-	var (
-		m       Mapping
-		changed bool
-		lastErr error
-	)
-	for _, addr := range members {
-		m, changed, lastErr = c.watchOnce(addr, machine, path, since, timeoutMS)
-		if lastErr == nil {
-			return m, changed, nil
-		}
-		var ws *wrongShardError
-		if errors.As(lastErr, &ws) {
-			c.noteMisroute(ws)
-			return Mapping{}, false, lastErr
-		}
-		var srvErr *admit.RemoteError
-		if errors.As(lastErr, &srvErr) {
-			return Mapping{}, false, retry.Permanent(lastErr)
-		}
-	}
-	return Mapping{}, false, lastErr
-}
-
-// shardList merges List across every shard (first reachable member each).
-func (c *Client) shardList() ([]Entry, error) {
-	if err := c.ensureRing(); err != nil {
-		return nil, err
-	}
-	c.shardMu.Lock()
-	shards := append([]ShardInfo(nil), c.smap.Shards...)
-	leads := make(map[uint32]string, len(c.lead))
-	for k, v := range c.lead {
-		leads[k] = v
-	}
-	c.shardMu.Unlock()
-	var out []Entry
-	for _, s := range shards {
-		var entries []Entry
-		err := c.retry.Do("gns.call", func(int) error {
-			var lastErr error
-			for _, addr := range orderedMembers(s.Addrs, leads[s.ID]) {
-				var err error
-				entries, err = c.member(addr).listRemote()
-				if err == nil {
-					return nil
-				}
-				var srvErr *admit.RemoteError
-				if errors.As(err, &srvErr) {
-					return retry.Permanent(err)
-				}
-				lastErr = err
-			}
-			return lastErr
-		})
-		if err != nil {
-			return nil, fmt.Errorf("gns: listing shard %d: %w", s.ID, err)
-		}
-		out = append(out, entries...)
-	}
-	return out, nil
+	return resp, err
 }

@@ -323,12 +323,8 @@ func (s *Server) dispatch(bw *bufio.Writer, typ uint8, payload []byte, cs *wire.
 		e := wire.NewEncoder()
 		e.I64(int64(readerID)).U32(uint32(b.BlockSize()))
 		if reqCodec != "" {
-			chosen := wire.NegotiateCodec(reqCodec, s.codecs)
-			codec, err := wire.ForName(chosen)
-			if err != nil {
-				return admit.WriteError(w, err)
-			}
-			cs.Codec = codec
+			var chosen string
+			chosen, cs.Codec = wire.NegotiateCodec(reqCodec, s.codecs)
 			e.String(chosen)
 		}
 		return wire.WriteFrame(w, msgAttachResp, e.Bytes())

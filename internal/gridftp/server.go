@@ -261,11 +261,7 @@ func (sess *session) dispatch(w *bufio.ReadWriter, typ uint8, payload []byte) er
 		if err != nil {
 			return admit.WriteError(w, err)
 		}
-		chosen := wire.NegotiateCodec(req, sess.srv.codecs)
-		codec, err := wire.ForName(chosen)
-		if err != nil {
-			return admit.WriteError(w, err)
-		}
+		chosen, codec := wire.NegotiateCodec(req, sess.srv.codecs)
 		columnar := false
 		if codec != nil {
 			sess.sc = &streamCodec{CodecBuf: wire.CodecBuf{Codec: codec}}

@@ -70,12 +70,8 @@ func (s *Server) dispatch(w *bufio.ReadWriter, typ uint8, payload []byte, cc *wi
 		if err := d.Err(); err != nil {
 			return admit.WriteError(w, err)
 		}
-		chosen := wire.NegotiateCodec(req, s.codecs)
-		codec, err := wire.ForName(chosen)
-		if err != nil {
-			return admit.WriteError(w, err)
-		}
-		cc.Codec = codec
+		var chosen string
+		chosen, cc.Codec = wire.NegotiateCodec(req, s.codecs)
 		return wire.WriteFrame(w, msgNegotiateResp, wire.NewEncoder().String(chosen).Bytes())
 
 	case msgStat:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -110,21 +111,15 @@ func ForName(name string) (Codec, error) {
 }
 
 // NegotiateCodec picks the codec a server answers with: the client's request
-// when the server both speaks it and accepts it, raw otherwise. accept is
-// the server's -codecs allow list; empty accepts everything supported.
-func NegotiateCodec(requested string, accept []string) string {
-	if requested == "" || requested == CodecRaw || !CodecSupported(requested) {
-		return CodecRaw
+// when the server both speaks it and accepts it, raw otherwise. It returns
+// the chosen name with its Codec (nil for raw). accept is the server's
+// -codecs allow list; empty accepts everything supported.
+func NegotiateCodec(requested string, accept []string) (string, Codec) {
+	c, err := ForName(requested)
+	if err != nil || c == nil || (len(accept) > 0 && !slices.Contains(accept, requested)) {
+		return CodecRaw, nil
 	}
-	if len(accept) == 0 {
-		return requested
-	}
-	for _, a := range accept {
-		if a == requested {
-			return requested
-		}
-	}
-	return CodecRaw
+	return requested, c
 }
 
 // ParseCodecList parses a comma-separated -codecs flag value, validating

@@ -147,8 +147,12 @@ func TestNegotiateCodec(t *testing.T) {
 		{"zstd", nil, CodecRaw},
 	}
 	for _, c := range cases {
-		if got := NegotiateCodec(c.req, c.accept); got != c.want {
+		got, codec := NegotiateCodec(c.req, c.accept)
+		if got != c.want {
 			t.Errorf("NegotiateCodec(%q, %v) = %q, want %q", c.req, c.accept, got, c.want)
+		}
+		if want, _ := ForName(c.want); codec != want {
+			t.Errorf("NegotiateCodec(%q, %v) codec = %v, want ForName(%q)", c.req, c.accept, codec, c.want)
 		}
 	}
 }
